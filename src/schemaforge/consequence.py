@@ -38,7 +38,7 @@ from .eval import (
     evaluate_union_query,
 )
 from .rules import InferenceRule
-from .schema import TriplestoreSchema, normalize_schema, pattern_shape_key
+from .schema import TriplestoreSchema, normalize_schema
 from .terms import (
     FreshNames,
     Graph,
@@ -143,20 +143,15 @@ def find_origin_patterns(t: Triple, schema: TriplestoreSchema) -> set[Triple]:
     included; a literal only in object position for a variable outside the
     no-literal set).
     """
-    found = set()
-    for pattern in schema.graph:
-        ok = True
-        for pos, (p_term, value) in enumerate(zip(pattern, t)):
-            if p_term.is_constant:
-                if p_term != value:
-                    ok = False
-                    break
-            elif value.is_literal and (pos < 2 or p_term.lexical in schema.no_literal):
-                ok = False
-                break
-        if ok:
-            found.add(pattern)
-    return found
+    delta = schema.no_literal
+    return {
+        pattern
+        for pattern in schema.index.candidates(t)
+        if all(
+            p_term.is_constant or not value.is_literal or (pos == 2 and p_term.lexical not in delta)
+            for pos, (p_term, value) in enumerate(zip(pattern, t))
+        )
+    }
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,8 @@ from .rules import InferenceRule, closure
 from .schema import (
     ExistentialRule,
     TriplestoreSchema,
+    instantiates_some,
     is_instance,
-    triple_instantiates,
     violations,
 )
 from .terms import (
@@ -280,10 +280,7 @@ def _chase_with_repair(
                 witness = Mapping.of(grounding).apply_triple(consequent)
                 if not (witness.s.is_iri and witness.p.is_iri):
                     continue  # no valid witness can exist; leave the violation
-                if any(
-                    triple_instantiates(witness, pattern, schema.no_literal)
-                    for pattern in schema.graph
-                ):
+                if instantiates_some(witness, schema):
                     current.add(witness)
                     changed = True
                     break
@@ -400,24 +397,25 @@ def retained_existentials(
 
     sandbox = build_sandbox(schema, lam)
     drop_preds = all(t.p.is_constant for t in schema.graph)
-    grounding_cache: dict[str, list[_Grounding]] = {}
+    # Keyed by rule position: rule names need not be unique.
+    grounding_cache: dict[int, list[_Grounding]] = {}
 
     violated: list[ViolationReport] = []
     violated_rules: set[ExistentialRule] = set()
     for e in schema.sorted_existentials():
         trigger_query = build_lambda_rewriting([e.antecedent], lam, drop_lambda_predicates=False)
-        for rule in rules:
+        for position, rule in enumerate(rules):
             if e in violated_rules:
                 break
             consequent_sandbox = sandbox_of_pattern(rule.consequent, lam)
             if not evaluate_union_query(trigger_query, consequent_sandbox):
                 continue
-            if rule.name not in grounding_cache:
-                grounding_cache[rule.name] = _groundings_for_rule(
+            if position not in grounding_cache:
+                grounding_cache[position] = _groundings_for_rule(
                     rule, schema, rules, sandbox, lam, drop_preds, fresh,
                     max_rewrite_depth, clock,
                 )
-            for grounding in grounding_cache[rule.name]:
+            for grounding in grounding_cache[position]:
                 if violations([e], grounding.closed):
                     violated.append(ViolationReport(e, grounding.witness, rule.name))
                     violated_rules.add(e)

@@ -11,7 +11,7 @@ prefix map.
 * graphs: one ground triple per statement, Turtle-style ``;``/``,``
   continuation allowed.
 * rules: blocks of ``CONSTRUCT { ... } WHERE { ... }``, each optionally
-  preceded by a ``# name: r1`` comment.
+  preceded by a ``# name: r1`` comment; rule names must be unique.
 * schemas: three labelled sections, ``GRAPH { patterns }``,
   ``NOLIT { ?v ... }`` and ``EXISTS { pattern => pattern ; ... }``.
 * shape documents: a Turtle subset with blank nodes (``[ ... ]``) and RDF
@@ -332,6 +332,7 @@ def parse_graph(text: str, source: str = "<graph>") -> tuple[Graph, dict[str, st
 def parse_rules(text: str, source: str = "<rules>") -> tuple[list[InferenceRule], dict[str, str]]:
     p = _Parser(tokenize(text, source), source, allow_vars=True)
     rules: list[InferenceRule] = []
+    names: set[str] = set()
     pending_name = ""
     while True:
         tok = p.peek()
@@ -354,6 +355,9 @@ def parse_rules(text: str, source: str = "<rules>") -> tuple[list[InferenceRule]
             antecedent = p.parse_triple_block()
             name = pending_name or f"rule{len(rules) + 1}"
             pending_name = ""
+            if name in names:
+                raise ParseError(f"duplicate rule name {name!r}", source, tok.line)
+            names.add(name)
             try:
                 rules.append(InferenceRule.of(antecedent, consequent, name))
             except Exception as exc:

@@ -12,13 +12,25 @@ existential rule is violated. An existential rule a -> c is violated on a
 graph when some match of a has no match of the correspondingly instantiated
 c; a ground instantiated consequent counts as matched exactly when it is in
 the graph.
+
+Instance checks, normalisation and origin lookups ask which schema
+patterns can cover a triple. They ask a :class:`PatternIndex`, which
+buckets patterns by their constant signature: the pattern's constants,
+with None at each variable position. A query triple (ground, sandboxed, or
+itself a pattern) returns exactly the indexed patterns whose constants all
+equal the query's term at the same position; a variable of the query is
+matched only by a variable of the pattern. The answer costs at most 8 dict
+probes, one per subset of the query's constant positions. Callers then run
+their exact per-pair test (literal placement, the no-literal set) on those
+candidates only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import product
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import SchemaError
 from .eval import evaluate_bgp
@@ -34,6 +46,24 @@ from .terms import (
     pattern_vars,
     var,
 )
+
+
+class PatternIndex:
+    """Triple patterns bucketed by constant signature (see the module notes)."""
+
+    __slots__ = ("_buckets",)
+
+    def __init__(self, patterns: Iterable[Triple]) -> None:
+        self._buckets: dict[tuple, list[Triple]] = {}
+        for t in patterns:
+            signature = tuple(None if term.is_variable else term for term in t)
+            self._buckets.setdefault(signature, []).append(t)
+
+    def candidates(self, query: Triple) -> Iterator[Triple]:
+        """Every indexed pattern whose constants agree with ``query`` positionwise."""
+        choices = [(None,) if term.is_variable else (term, None) for term in query]
+        for key in product(*choices):
+            yield from self._buckets.get(key, ())
 
 
 @dataclass(frozen=True)
@@ -128,6 +158,11 @@ class TriplestoreSchema:
         """The schema with its existential rules dropped."""
         return replace(self, existentials=frozenset())
 
+    @cached_property
+    def index(self) -> PatternIndex:
+        """The schema graph's patterns by constant signature, built on first use."""
+        return PatternIndex(self.graph)
+
 
 def triple_instantiates(t: Triple, pattern: Triple, delta: frozenset[str] | set[str]) -> bool:
     """True iff some mapping sends the pattern to ``t`` without binding a
@@ -148,7 +183,7 @@ def triple_instantiates(t: Triple, pattern: Triple, delta: frozenset[str] | set[
 
 
 def instantiates_some(t: Triple, schema: TriplestoreSchema) -> bool:
-    return any(triple_instantiates(t, p, schema.no_literal) for p in schema.graph)
+    return any(triple_instantiates(t, p, schema.no_literal) for p in schema.index.candidates(t))
 
 
 def violations(rules: Iterable[ExistentialRule], graph: Graph) -> frozenset[Violation]:
@@ -251,13 +286,12 @@ def schema_equivalent(s1: TriplestoreSchema, s2: TriplestoreSchema) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def pattern_shape_key(t: Triple, delta: Iterable[str]) -> tuple:
+def pattern_shape_key(t: Triple, delta: set[str] | frozenset[str]) -> tuple:
     """Identity of a pattern up to variable renaming (no-literal aware)."""
-    d = set(delta)
     key = []
     for term in t:
         if term.is_variable:
-            key.append(("v", term.lexical in d))
+            key.append(("v", term.lexical in delta))
         else:
             key.append(("c", term.kind, term.lexical))
     return tuple(key)
@@ -294,11 +328,14 @@ def normalize_schema(schema: TriplestoreSchema) -> TriplestoreSchema:
     by_key: dict[tuple, Triple] = {}
     for t in sorted(schema.graph, key=Triple.sort_key):
         by_key.setdefault(pattern_shape_key(t, delta), t)
+    # Index the deduplicated patterns only: indexing the input graph would
+    # let a pattern be found subsumed by one of its own renamed duplicates.
     unique = list(by_key.values())
+    index = PatternIndex(unique)
     kept = [
         p
         for p in unique
-        if not any(q is not p and pattern_subsumed(p, q, delta) for q in unique)
+        if not any(q is not p and pattern_subsumed(p, q, delta) for q in index.candidates(p))
     ]
     kept.sort(key=lambda t: pattern_shape_key(t, delta))
 

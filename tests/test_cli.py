@@ -159,3 +159,11 @@ def test_exit_codes(tmp_path, capsys):
     )
     assert main(["shacl2schema", "-i", str(bad_shapes)]) == 4
     assert main(["consequence", "-s", SCHEMA, "-r", RULES, "--budget", "0.0001"]) == 3
+
+
+def test_duplicate_rule_names_exit_2(tmp_path, capsys):
+    text = Path(RULES).read_text().replace("# name: r2", "# name: r1")
+    rules = tmp_path / "dup.rq"
+    rules.write_text(text)
+    assert main(["consequence", "--existential", "-s", SCHEMA, "-r", str(rules)]) == 2
+    assert "duplicate rule name 'r1'" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 from schemaforge import (
     ExistentialRule,
@@ -33,6 +34,7 @@ from conftest import (
     PERSONNEL_TAG,
     RDF_TYPE,
     TAG_ID,
+    mine_rules,
     mine_schema,
 )
 
@@ -236,3 +238,18 @@ def test_reported_violations_match_enumeration_running_example(schema_s1, rules_
     got = {v.rule for v in report.violated}
     # ground-truth: the closure of I1 (a real instance) violates e1
     assert got == set(schema_s1.existentials)
+
+
+def test_rules_sharing_a_name_are_searched_separately():
+    # A rule's name is a label, not its identity: a second rule named like
+    # the first must still have its own groundings searched. Only r1 can
+    # violate the carrier existential, so naming it like the carrier rule
+    # must not turn the answer into "retained".
+    carrier = InferenceRule.of(
+        [Triple(var("t"), CARRIED_BY, var("c"))], [Triple(var("t"), RDF_TYPE, PERSONNEL_TAG)], "x"
+    )
+    r1 = mine_rules()[0]
+    for second in ("y", "x"):
+        report = retained_existentials(mine_schema(), [carrier, replace(r1, name=second)])
+        assert report.retained == (), second
+        assert [v.via_rule for v in report.violated] == [second]

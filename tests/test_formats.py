@@ -112,6 +112,15 @@ def test_parse_errors_carry_location():
         parse_schema("GRAPH { ?v <urn:p> <urn:o> . }")  # delta misses ?v
 
 
+def test_duplicate_rule_names_rejected():
+    block = "CONSTRUCT { ?a <urn:p> ?b . } WHERE { ?a <urn:q> ?b . }\n"
+    with pytest.raises(ParseError) as err:
+        parse_rules("# name: x\n" + block + "# name: x\n" + block, "dup.rq")
+    assert str(err.value) == "dup.rq:4: duplicate rule name 'x'"
+    rules, _ = parse_rules("# name: x\n" + block + "# name: y\n" + block)
+    assert [r.name for r in rules] == ["x", "y"]
+
+
 def test_variables_rejected_in_ground_graphs():
     with pytest.raises(ParseError):
         parse_graph("?x <urn:p> <urn:o> .")
