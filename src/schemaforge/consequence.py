@@ -36,6 +36,7 @@ from .eval import (
     build_lambda_rewriting,
     evaluate_bgp,
     evaluate_union_query,
+    lambda_variants,
 )
 from .rules import InferenceRule
 from .schema import TriplestoreSchema, normalize_schema
@@ -72,10 +73,7 @@ def build_sandbox(schema: TriplestoreSchema, lam: Term | None = None) -> Graph:
     """One triple per schema pattern, every variable collapsed to the placeholder."""
     if lam is None:
         lam = choose_lambda(schema.constants())
-    triples = set()
-    for t in schema.graph:
-        triples.add(Triple(*(lam if term.is_variable else term for term in t)))
-    return Graph(triples, validate=False)
+    return sandbox_of_pattern(schema.graph, lam)
 
 
 def sandbox_of_pattern(patterns: Iterable[Triple], lam: Term) -> Graph:
@@ -166,19 +164,6 @@ SCORE = "score"
 CRITICAL = "critical"
 
 
-def _rewriting_alternatives(t: Triple, lam: Term, drop_lambda_predicates: bool) -> list[Triple]:
-    alts: list[Triple] = []
-    for s_term in (t.s, lam):
-        for p_term in (t.p, lam):
-            if drop_lambda_predicates and p_term == lam and t.p != lam:
-                continue
-            for o_term in (t.o, lam):
-                alt = Triple(s_term, p_term, o_term)
-                if alt not in alts:
-                    alts.append(alt)
-    return alts
-
-
 def filter_and_annotate(
     m: Mapping,
     antecedent: Iterable[Triple],
@@ -211,7 +196,7 @@ def filter_and_annotate(
         if mode == CRITICAL:
             candidates = [t_a]
         else:
-            candidates = _rewriting_alternatives(t_a, lam, drop_lambda_predicates)
+            candidates = lambda_variants(t_a, lam, drop_lambda_predicates)
         origins: set[Triple] = set()
         for t_q in candidates:
             image = m.apply_triple(t_q)

@@ -1,19 +1,27 @@
 """Conjunctive-pattern evaluation over in-memory graphs.
 
-Two query forms are supported: a plain basic graph pattern (a conjunction
-of triple patterns) and a union query (per-triple disjunction of pattern
-alternatives, conjoined across triples). The union form exists for one
-purpose: rewriting a rule antecedent so that it can be evaluated over a
-sandbox graph in which every schema variable has been collapsed to a single
-reserved placeholder IRI. Each antecedent triple expands into the 8 variants
-obtained by substituting any subset of its positions with the placeholder;
-when the target graph cannot contain the placeholder in predicate position
-the 4 variants that put it there are dropped.
+Every pattern match in the package is one join, :func:`_join`. Its goals
+are disjunctive: each pairs a tuple of alternative triple patterns with
+the graph they are matched in, and a binding sends one alternative of
+every goal into that goal's graph. A basic graph pattern (a conjunction of
+triple patterns) gives each goal one alternative; so does a homomorphism
+test, over the target pattern frozen into a graph. A union query gives
+each antecedent triple its placeholder variants. It rewrites a rule
+antecedent for the sandbox graph, in which every schema variable is
+collapsed to one reserved placeholder IRI: each triple expands into the 8
+variants that substitute any subset of its positions with the placeholder,
+or 4 when the graph cannot hold the placeholder in predicate position.
 
-Evaluation is a left-deep nested-loop join with index lookups on the
-positions already bound. Graphs here are small (the sandbox has one triple
-per schema pattern), except for critical instances where the cost explosion
-is exactly the phenomenon under study, so a simple correct join is the right
+The join is a left-deep nested loop with index lookups on the positions
+already bound. It plans the goals once per call: most-bound first, each
+scored by its first alternative, ties kept in list order; the goal at a
+depth is fixed when the search first reaches it. It yields only bindings
+that bind every variable of the goals' first alternatives. A basic graph
+pattern always does; in a union query, a choice that substitutes away a
+variable's last occurrence does not, and its partial bindings are
+dropped. Graphs here are small (the sandbox has one triple per schema
+pattern), except for critical instances where the cost explosion is
+exactly the phenomenon under study, so a simple correct join is the right
 tool. Results are duplicate-free sets of mappings.
 """
 
@@ -21,10 +29,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError
-from .terms import EMPTY_MAPPING, Graph, Mapping, Term, Triple, pattern_vars
+from .terms import Graph, Mapping, Term, Triple
 
 
 class BudgetClock:
@@ -44,61 +52,69 @@ class BudgetClock:
         if self._ticks % every == 0 and time.perf_counter() > self.deadline:
             raise BudgetExceededError("wall-clock budget exceeded")
 
-    def expired(self) -> bool:
-        return self.deadline is not None and time.perf_counter() > self.deadline
+
+Goal = tuple[Sequence[Triple], Graph]
 
 
-def _goal_selectivity(t: Triple, bound: set[str]) -> int:
-    score = 0
-    for term in t:
-        if term.is_constant or (term.is_variable and term.lexical in bound):
-            score += 1
-    return score
+class _Plan:
+    """The goals in join order (see the module notes), most-bound meaning
+    fewest unbound variable positions. A join that dies early plans no
+    further; at a leaf ``bound`` holds every first alternative's variables."""
+
+    __slots__ = ("order", "pending", "bound")
+
+    def __init__(self, goals: Sequence[Goal]) -> None:
+        self.order: list[Goal] = []
+        self.pending = list(goals)
+        self.bound: set[str] = set()
+
+    def at(self, depth: int) -> Goal | None:
+        """The goal at ``depth``, or None past the last one."""
+        if depth == len(self.order):
+            if not self.pending:
+                return None
+            bound = self.bound
+            unbound = [
+                sum(term.is_variable and term.lexical not in bound for term in alternatives[0])
+                for alternatives, _ in self.pending
+            ]
+            goal = self.pending.pop(unbound.index(min(unbound)))
+            self.order.append(goal)
+            bound.update(term.lexical for term in goal[0][0] if term.is_variable)
+        return self.order[depth]
 
 
-def _join(
-    goals: Sequence[tuple[Triple, Graph]],
-    clock: BudgetClock | None = None,
-) -> set[Mapping]:
-    """All mappings sending every goal pattern into its paired graph."""
-    results: set[Mapping] = set()
-    n = len(goals)
-
-    def extend(binding: dict[str, Term], remaining: list[tuple[Triple, Graph]]) -> None:
-        if clock is not None:
-            clock.check()
-        if not remaining:
-            results.add(Mapping.of(binding))
-            return
-        # Pick the most-bound goal next; ties keep list order (deterministic).
-        bound = set(binding)
-        best = max(range(len(remaining)), key=lambda i: (_goal_selectivity(remaining[i][0], bound), -i))
-        pattern, graph = remaining[best]
-        rest = remaining[:best] + remaining[best + 1 :]
-
-        lookup = []
-        for term in pattern:
-            if term.is_constant:
-                lookup.append(term)
-            elif term.lexical in binding:
-                lookup.append(binding[term.lexical])
-            else:
-                lookup.append(None)
+def _extend(
+    plan: _Plan, depth: int, binding: dict[str, Term], clock: BudgetClock | None
+) -> Iterator[dict[str, Term]]:
+    """The total bindings extending ``binding`` through the goals from
+    ``depth`` on. A module-level generator rather than a nested function, so
+    no reference cycle keeps the goals' graphs alive after the join."""
+    if clock is not None:
+        clock.check()
+    goal = plan.at(depth)
+    if goal is None:
+        if binding.keys() >= plan.bound:
+            yield binding
+        return
+    alternatives, graph = goal
+    for pattern in alternatives:
+        lookup = [term if term.is_constant else binding.get(term.lexical) for term in pattern]
         for t in graph.match(*lookup):
             new = dict(binding)
-            ok = True
             for term, value in zip(pattern, t):
                 if term.is_variable and term.lexical not in binding:
-                    prior = new.get(term.lexical)
-                    if prior is not None and prior != value:
-                        ok = False
+                    prior = new.setdefault(term.lexical, value)
+                    if prior is not value and prior != value:
                         break
-                    new[term.lexical] = value
-            if ok:
-                extend(new, rest)
+            else:
+                yield from _extend(plan, depth + 1, new, clock)
 
-    extend({}, list(goals))
-    return results if n else {EMPTY_MAPPING}
+
+def _join(goals: Sequence[Goal], clock: BudgetClock | None = None) -> Iterator[dict[str, Term]]:
+    """Lazily, every binding sending one alternative of each goal into the
+    goal's graph and binding every variable of the first alternatives."""
+    return _extend(_Plan(goals), 0, {}, clock)
 
 
 def evaluate_bgp(
@@ -111,15 +127,8 @@ def evaluate_bgp(
     A ground pattern contained in the graph yields the singleton set holding
     the empty mapping; an empty pattern likewise.
     """
-    goals = [(t, graph) for t in sorted(patterns, key=Triple.sort_key)]
-    if not goals:
-        return {EMPTY_MAPPING}
-    return _join(goals, clock)
-
-
-def matches(patterns: Iterable[Triple], graph: Graph) -> bool:
-    """True iff the pattern's evaluation over the graph is nonempty."""
-    return bool(evaluate_bgp(patterns, graph))
+    goals = [((t,), graph) for t in sorted(patterns, key=Triple.sort_key)]
+    return set(map(Mapping.of, _join(goals, clock)))
 
 
 @dataclass(frozen=True)
@@ -135,7 +144,29 @@ class UnionQuery:
     """Conjunction over entries, disjunction over each entry's alternatives."""
 
     entries: tuple[UnionEntry, ...]
-    variables: frozenset[str]
+
+
+def lambda_variants(
+    t: Triple, lam: Term, drop_lambda_predicates: bool = False
+) -> tuple[Triple, ...]:
+    """The triple with every subset of its positions replaced by the
+    placeholder, the triple itself first.
+
+    ``drop_lambda_predicates`` applies the optimisation that is sound when
+    the target graph has no placeholder in predicate position (schemas with
+    constant predicates): variants with the placeholder as predicate can
+    never match and are omitted.
+    """
+    alts: list[Triple] = []
+    for s_term in (t.s, lam):
+        for p_term in (t.p, lam):
+            if drop_lambda_predicates and p_term == lam and t.p != lam:
+                continue
+            for o_term in (t.o, lam):
+                alt = Triple(s_term, p_term, o_term)
+                if alt not in alts:
+                    alts.append(alt)
+    return tuple(alts)
 
 
 def build_lambda_rewriting(
@@ -143,27 +174,13 @@ def build_lambda_rewriting(
     lam: Term,
     drop_lambda_predicates: bool = False,
 ) -> UnionQuery:
-    """Expand each triple into its placeholder variants.
-
-    ``drop_lambda_predicates`` applies the optimisation that is sound when
-    the target graph has no placeholder in predicate position (schemas with
-    constant predicates): variants with the placeholder as predicate can
-    never match and are omitted.
-    """
-    source = sorted(antecedent, key=Triple.sort_key)
-    entries = []
-    for t in source:
-        alts: list[Triple] = []
-        for s_term in (t.s, lam):
-            for p_term in (t.p, lam):
-                if drop_lambda_predicates and p_term == lam and t.p != lam:
-                    continue
-                for o_term in (t.o, lam):
-                    alt = Triple(s_term, p_term, o_term)
-                    if alt not in alts:
-                        alts.append(alt)
-        entries.append(UnionEntry(t, tuple(alts)))
-    return UnionQuery(tuple(entries), frozenset(pattern_vars(source)))
+    """Expand each triple into its placeholder variants."""
+    return UnionQuery(
+        tuple(
+            UnionEntry(t, lambda_variants(t, lam, drop_lambda_predicates))
+            for t in sorted(antecedent, key=Triple.sort_key)
+        )
+    )
 
 
 def evaluate_union_query(
@@ -177,39 +194,5 @@ def evaluate_union_query(
     kept; a choice that substitutes away a variable's last occurrence
     produces partial mappings, which are discarded.
     """
-    results: set[Mapping] = set()
-
-    def extend(binding: dict[str, Term], idx: int) -> None:
-        if clock is not None:
-            clock.check()
-        if idx == len(query.entries):
-            if query.variables <= set(binding):
-                results.add(Mapping.of({k: v for k, v in binding.items() if k in query.variables}))
-            return
-        entry = query.entries[idx]
-        for pattern in entry.alternatives:
-            lookup = []
-            for term in pattern:
-                if term.is_constant:
-                    lookup.append(term)
-                elif term.lexical in binding:
-                    lookup.append(binding[term.lexical])
-                else:
-                    lookup.append(None)
-            for t in graph.match(*lookup):
-                new = dict(binding)
-                ok = True
-                for term, value in zip(pattern, t):
-                    if term.is_variable and term.lexical not in binding:
-                        prior = new.get(term.lexical)
-                        if prior is not None and prior != value:
-                            ok = False
-                            break
-                        new[term.lexical] = value
-                if ok:
-                    extend(new, idx + 1)
-
-    extend({}, 0)
-    if not query.entries:
-        return {EMPTY_MAPPING}
-    return results
+    goals = [(entry.alternatives, graph) for entry in query.entries]
+    return set(map(Mapping.of, _join(goals, clock)))

@@ -7,18 +7,20 @@ inference rule whose consequent could produce a match of the existential
 antecedent, every rewriting of that rule's antecedent (obtained by
 repeatedly unfolding antecedent triples through other rules' consequents)
 is matched against the schema's sandbox graph. Each surviving match is
-grounded into a small candidate instance, completed with the chase so it
-satisfies all existential rules, closed under the inference rules, and
-tested for a violation. The IRIs a grounding invents stay negotiable
-during its chase: when a required triple can only exist with a pattern's
-constant in some position, the invented IRI there is unified with that
-constant rather than giving the grounding up. Groundings whose completion
-still fails to be an instance of the schema are discarded; they witness
-nothing about the schema's instances.
+grounded into a small candidate instance, completed with the package's one
+chase (:func:`rules.chase_existentials`, given the schema so that it
+repairs) so it satisfies all existential rules, closed under the inference
+rules, and tested for a violation. The IRIs a grounding invents stay
+negotiable during its chase: when a required triple can only exist with a
+pattern's constant in some position, the invented IRI there is unified
+with that constant rather than giving the grounding up. Groundings whose
+completion still fails to be an instance of the schema are discarded; they
+witness nothing about the schema's instances.
 
 Rewriting uses most-general unifiers with homomorphism subsumption pruning,
 which keeps the rewriting set finite on recursive rule sets; a depth bound
-backs the pruning up.
+backs the pruning up. The homomorphism test is the package's one join,
+``eval._join``, over the target rewriting frozen into a graph.
 """
 
 from __future__ import annotations
@@ -34,13 +36,12 @@ from .consequence import (
     sandbox_of_pattern,
     simple_schema_consequence,
 )
-from .errors import ChaseNonterminationError, RewriteDepthExceededError
-from .eval import BudgetClock, build_lambda_rewriting, evaluate_union_query
-from .rules import InferenceRule, closure
+from .errors import RewriteDepthExceededError
+from .eval import BudgetClock, _join, build_lambda_rewriting, evaluate_union_query
+from .rules import InferenceRule, chase_existentials, closure
 from .schema import (
     ExistentialRule,
     TriplestoreSchema,
-    instantiates_some,
     is_instance,
     violations,
 )
@@ -91,33 +92,14 @@ def _mgu(t1: Triple, t2: Triple) -> Mapping | None:
 
 
 def _homomorphism_exists(src: frozenset[Triple], dst: frozenset[Triple]) -> bool:
-    """Is there a variable mapping h with h(src) a subset of dst?"""
-    src_list = sorted(src, key=Triple.sort_key)
-    dst_list = sorted(dst, key=Triple.sort_key)
+    """Is there a variable mapping h with h(src) a subset of dst?
 
-    def extend(i: int, binding: dict[str, Term]) -> bool:
-        if i == len(src_list):
-            return True
-        pattern = src_list[i]
-        for t in dst_list:
-            new = dict(binding)
-            ok = True
-            for p_term, value in zip(pattern, t):
-                if p_term.is_constant:
-                    if p_term != value:
-                        ok = False
-                        break
-                else:
-                    prior = new.get(p_term.lexical)
-                    if prior is not None and prior != value:
-                        ok = False
-                        break
-                    new[p_term.lexical] = value
-            if ok and extend(i + 1, new):
-                return True
-        return False
-
-    return extend(0, {})
+    This is ``src`` evaluated as a query over ``dst`` with its variables
+    frozen into terms (Chandra and Merlin 1977); the first binding decides.
+    """
+    target = Graph(dst, validate=False)
+    goals = [((t,), target) for t in sorted(src, key=Triple.sort_key)]
+    return next(_join(goals), None) is not None
 
 
 def _rename_apart(rule: InferenceRule, fresh: FreshNames) -> InferenceRule:
@@ -213,122 +195,6 @@ class _Grounding:
     closed: Graph  # its closure under the inference rules
 
 
-def _unify_with_pattern(
-    witness: Triple, pattern: Triple, delta: frozenset[str], nulls: set[Term]
-) -> dict[Term, Term] | None:
-    """A null-to-constant substitution making the witness instantiate the
-    pattern, or None. Positions already matching bind nothing."""
-    subst: dict[Term, Term] = {}
-    for pos, (value, p_term) in enumerate(zip(witness, pattern)):
-        if p_term.is_variable:
-            if value.is_literal and (pos < 2 or p_term.lexical in delta):
-                return None
-            continue
-        if p_term == value:
-            continue
-        if value in nulls:
-            if subst.get(value, p_term) != p_term:
-                return None
-            subst[value] = p_term
-        else:
-            return None
-    return subst if subst else None
-
-
-def _chase_with_repair(
-    candidate: Graph,
-    schema: TriplestoreSchema,
-    fresh: FreshNames,
-    nulls: set[Term],
-    max_steps: int | None = None,
-) -> Graph:
-    """Chase a grounding whose invented IRIs are still negotiable.
-
-    Works like the plain chase, except that a required triple that fails to
-    instantiate any schema pattern outright may be repaired by substituting
-    its null components (the IRIs this grounding invented) with the
-    constants of a covering pattern; the substitution applies to the whole
-    graph, committing the grounding to a more specific instance. Repairs
-    pick the first covering pattern in sorted order; the caller's final
-    instance check still gates the result, so an unlucky choice costs
-    completeness, never soundness.
-    """
-    rule_list = sorted(schema.existentials, key=ExistentialRule.sort_key)
-    current: set[Triple] = set(candidate.triples)
-    if max_steps is None:
-        max_steps = 10 * (len(current) + len(rule_list) + 1) ** 2
-    steps = 0
-    changed = True
-    while changed:
-        changed = False
-        for rule in rule_list:
-            for m in sorted(_match_all(rule.antecedent, current), key=Mapping.sort_key):
-                consequent = m.apply_triple(rule.consequent)
-                if _match_all(consequent, current):
-                    continue
-                steps += 1
-                if steps > max_steps:
-                    raise ChaseNonterminationError(
-                        f"grounding chase exceeded {max_steps} steps; the existential "
-                        "rules are likely not weakly acyclic"
-                    )
-                grounding = {
-                    name: fresh.fresh_iri() for name in sorted(pattern_vars([consequent]))
-                }
-                for term in grounding.values():
-                    nulls.add(term)
-                witness = Mapping.of(grounding).apply_triple(consequent)
-                if not (witness.s.is_iri and witness.p.is_iri):
-                    continue  # no valid witness can exist; leave the violation
-                if instantiates_some(witness, schema):
-                    current.add(witness)
-                    changed = True
-                    break
-                repaired = False
-                for pattern in sorted(schema.graph, key=Triple.sort_key):
-                    subst = _unify_with_pattern(witness, pattern, schema.no_literal, nulls)
-                    if subst is None:
-                        continue
-                    rewritten = {
-                        Triple(*(subst.get(term, term) for term in t)) for t in current
-                    }
-                    rewritten.add(Triple(*(subst.get(term, term) for term in witness)))
-                    if not all(t.s.is_iri and t.p.is_iri for t in rewritten):
-                        continue  # a literal constant landed in a subject
-                    current = rewritten
-                    for null in subst:
-                        nulls.discard(null)
-                    repaired = True
-                    break
-                if repaired:
-                    changed = True
-                    break
-            if changed:
-                break
-    return Graph(current, validate=False)
-
-
-def _match_all(pattern: Triple, triples: set[Triple]) -> list[Mapping]:
-    out = []
-    for t in triples:
-        bound: dict[str, Term] = {}
-        ok = True
-        for p_term, value in zip(pattern, t):
-            if p_term.is_constant:
-                if p_term != value:
-                    ok = False
-                    break
-            else:
-                prior = bound.get(p_term.lexical)
-                if prior is not None and prior != value:
-                    ok = False
-                    break
-                bound[p_term.lexical] = value
-        if ok:
-            out.append(Mapping.of(bound))
-    return out
-
-
 def _groundings_for_rule(
     rule: InferenceRule,
     schema: TriplestoreSchema,
@@ -359,7 +225,9 @@ def _groundings_for_rule(
             )
             candidate = Graph(grounding.apply(partially), validate=False)
             nulls = {term for _, term in grounding.bindings}
-            chased = _chase_with_repair(candidate, schema, fresh, nulls)
+            chased = chase_existentials(
+                candidate, schema.existentials, fresh, schema=schema, nulls=nulls
+            )
             if not is_instance(chased, schema):
                 continue
             closed = closure(chased, list(rules), clock=clock)

@@ -13,9 +13,12 @@ previous round. The direct-from-definition naive iteration is kept behind
 a flag as the testing oracle.
 
 The chase extends a ground graph until every existential rule is satisfied,
-inventing one fresh IRI per residual consequent variable. Termination is
-only guaranteed for weakly acyclic rule sets, so a step bound guards the
-loop and a diagnostic error names the likely cause when it trips.
+inventing one fresh IRI per residual consequent variable. Given a schema it
+also repairs: a witness that instantiates no schema pattern may have the
+IRIs its graph invented (the nulls) unified with the constants of a
+covering pattern, across the whole graph. Termination is only guaranteed
+for weakly acyclic rule sets, so a bound on the number of changes guards
+the loop and a diagnostic error names the likely cause when it trips.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Iterable, Sequence
 
 from .errors import ChaseNonterminationError, SchemaError
 from .eval import BudgetClock, _join, evaluate_bgp
-from .schema import ExistentialRule
+from .schema import ExistentialRule, TriplestoreSchema, instantiates_some
 from .terms import (
     FreshNames,
     Graph,
@@ -108,8 +111,8 @@ def _rule_matches_seminaive(
     antecedent = rule.sorted_antecedent()
     found: set[Mapping] = set()
     for i in range(len(antecedent)):
-        goals = [(t, delta if j == i else full) for j, t in enumerate(antecedent)]
-        found |= _join(goals, clock)
+        goals = [((t,), delta if j == i else full) for j, t in enumerate(antecedent)]
+        found.update(map(Mapping.of, _join(goals, clock)))
     return found
 
 
@@ -147,26 +150,62 @@ def closure(
     return Graph(current, validate=False)
 
 
-def _match_single(pattern: Triple, triples: set[Triple]) -> list[Mapping]:
-    """Matches of one pattern against a plain triple set (chase inner loop)."""
-    out = []
-    for t in triples:
-        bound: dict[str, Term] = {}
-        ok = True
-        for p_term, value in zip(pattern, t):
-            if p_term.is_constant:
-                if p_term != value:
-                    ok = False
-                    break
-            else:
-                prior = bound.get(p_term.lexical)
-                if prior is not None and prior != value:
-                    ok = False
-                    break
-                bound[p_term.lexical] = value
-        if ok:
-            out.append(Mapping.of(bound))
-    return out
+def _unify_with_pattern(
+    witness: Triple, pattern: Triple, delta: frozenset[str], nulls: set[Term]
+) -> dict[Term, Term] | None:
+    """A null-to-constant substitution making the witness instantiate the
+    pattern, or None. Positions already matching bind nothing."""
+    subst: dict[Term, Term] = {}
+    for pos, (value, p_term) in enumerate(zip(witness, pattern)):
+        if p_term.is_variable:
+            if value.is_literal and (pos < 2 or p_term.lexical in delta):
+                return None
+            continue
+        if p_term == value:
+            continue
+        if value in nulls:
+            if subst.get(value, p_term) != p_term:
+                return None
+            subst[value] = p_term
+        else:
+            return None
+    return subst if subst else None
+
+
+def _chase_step(
+    graph: Graph,
+    rules: list[ExistentialRule],
+    fresh: FreshNames,
+    schema: TriplestoreSchema | None,
+    nulls: set[Term],
+) -> frozenset[Triple] | None:
+    """The triples after the first change the chase makes, or None when
+    every rule is satisfied or cannot be."""
+    for rule in rules:
+        for m in sorted(evaluate_bgp([rule.antecedent], graph), key=Mapping.sort_key):
+            consequent = m.apply_triple(rule.consequent)
+            if evaluate_bgp([consequent], graph):
+                continue
+            grounding = {name: fresh.fresh_iri() for name in sorted(pattern_vars([consequent]))}
+            nulls.update(grounding.values())
+            witness = Mapping.of(grounding).apply_triple(consequent)
+            if not (witness.s.is_iri and witness.p.is_iri):
+                # No valid RDF witness can exist (literal forced into the
+                # subject or predicate); the violation is left standing.
+                continue
+            extended = graph.triples | {witness}
+            if schema is None or instantiates_some(witness, schema):
+                return extended
+            for pattern in sorted(schema.graph, key=Triple.sort_key):
+                subst = _unify_with_pattern(witness, pattern, schema.no_literal, nulls)
+                if subst is None:
+                    continue
+                rewritten = frozenset(Triple(*(subst.get(x, x) for x in t)) for t in extended)
+                if not all(t.s.is_iri and t.p.is_iri for t in rewritten):
+                    continue  # a literal constant landed in a subject
+                nulls.difference_update(subst)
+                return rewritten
+    return None
 
 
 def chase_existentials(
@@ -174,42 +213,36 @@ def chase_existentials(
     rules: Iterable[ExistentialRule],
     fresh: FreshNames,
     max_steps: int | None = None,
+    schema: TriplestoreSchema | None = None,
+    nulls: set[Term] | None = None,
 ) -> Graph:
     """Extend the graph until every existential rule is satisfied.
 
-    For each antecedent match whose instantiated consequent has no match in
-    the current graph, the consequent is added with every residual variable
-    bound to a fresh IRI. The default step bound is quadratic in the input
-    size; exceeding it raises, flagging a non-weakly-acyclic rule set.
+    The first antecedent match (rules and matches in sorted order) whose
+    instantiated consequent has no match gets the consequent, each residual
+    variable bound to a fresh IRI, and the search restarts. Without a
+    schema every valid witness is accepted; with one, a witness covering no
+    pattern is repaired by substituting ``nulls`` (invented IRIs, to which
+    the chase adds its own) with the constants of the first covering
+    pattern in sorted order, across the graph. The caller's instance check
+    gates the result, so an unlucky choice costs completeness, never
+    soundness. One step is one witness added or one repair applied;
+    exceeding the bound (quadratic in the input size by default) raises,
+    flagging a non-weakly-acyclic rule set.
     """
     rule_list = sorted(rules, key=ExistentialRule.sort_key)
-    current: set[Triple] = set(graph.triples)
+    if nulls is None:
+        nulls = set()
     if max_steps is None:
-        max_steps = 10 * (len(current) + len(rule_list) + 1) ** 2
+        max_steps = 10 * (len(graph) + len(rule_list) + 1) ** 2
+    current = graph
     steps = 0
-    changed = True
-    while changed:
-        changed = False
-        for rule in rule_list:
-            for m in sorted(_match_single(rule.antecedent, current), key=Mapping.sort_key):
-                consequent = m.apply_triple(rule.consequent)
-                if _match_single(consequent, current):
-                    continue
-                grounding = {
-                    name: fresh.fresh_iri()
-                    for name in sorted(pattern_vars([consequent]))
-                }
-                witness = Mapping.of(grounding).apply_triple(consequent)
-                if not (witness.s.is_iri and witness.p.is_iri):
-                    # No valid RDF witness can exist (literal forced into the
-                    # subject or predicate); the violation is left standing.
-                    continue
-                current.add(witness)
-                changed = True
-                steps += 1
-                if steps > max_steps:
-                    raise ChaseNonterminationError(
-                        f"chase exceeded {max_steps} steps; the existential rules are "
-                        "likely not weakly acyclic"
-                    )
-    return Graph(current, validate=False)
+    while (changed := _chase_step(current, rule_list, fresh, schema, nulls)) is not None:
+        current = Graph(changed, validate=False)
+        steps += 1
+        if steps > max_steps:
+            raise ChaseNonterminationError(
+                f"chase exceeded {max_steps} steps; the existential rules are "
+                "likely not weakly acyclic"
+            )
+    return current

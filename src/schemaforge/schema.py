@@ -43,7 +43,6 @@ from .terms import (
     iri,
     lit,
     pattern_consts,
-    pattern_vars,
     var,
 )
 
@@ -150,9 +149,6 @@ class TriplestoreSchema:
 
     def constants(self) -> set[Term]:
         return pattern_consts(self.graph)
-
-    def variables(self) -> set[str]:
-        return pattern_vars(self.graph)
 
     def graph_part(self) -> "TriplestoreSchema":
         """The schema with its existential rules dropped."""

@@ -119,10 +119,6 @@ class Triple:
         return f"({self.s!r} {self.p!r} {self.o!r})"
 
 
-def is_ground(t: Triple) -> bool:
-    return not (t.s.is_variable or t.p.is_variable or t.o.is_variable)
-
-
 def is_valid_triple(t: Triple) -> bool:
     """Ground and RDF-valid: literals may appear in the object position only."""
     return t.s.is_iri and t.p.is_iri and (t.o.is_iri or t.o.is_literal)
@@ -172,15 +168,6 @@ class Mapping:
             if k == name:
                 return v
         return None
-
-    def domain(self) -> set[str]:
-        return {k for k, _ in self.bindings}
-
-    def as_dict(self) -> dict[str, Term]:
-        return dict(self.bindings)
-
-    def binds_only_constants(self) -> bool:
-        return all(v.is_constant for _, v in self.bindings)
 
     def apply_term(self, term: Term) -> Term:
         if term.is_variable:
@@ -294,9 +281,6 @@ class FreshNames:
         self._seen_iris: set[str] = set()
         self._var_counter = 0
         self._iri_counter = 0
-
-    def observe_name(self, name: str) -> None:
-        self._seen_vars.add(name)
 
     def observe_term(self, term: Term) -> None:
         if term.is_variable:

@@ -2,20 +2,26 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schemaforge import (
     Graph,
     Mapping,
     Triple,
     build_lambda_rewriting,
+    closure,
     evaluate_bgp,
     evaluate_union_query,
     iri,
     lit,
     var,
 )
+from schemaforge.existential import _homomorphism_exists
 from schemaforge.terms import EMPTY_MAPPING, pattern_vars
 
 from conftest import (
@@ -186,3 +192,87 @@ def test_join_order_does_not_change_results(instance_i1):
     expected = evaluate_bgp(patterns, instance_i1)
     for perm in itertools.permutations(patterns):
         assert evaluate_bgp(perm, instance_i1) == expected
+
+
+def brute_force_union(query, graph: Graph) -> set[Mapping]:
+    """The union, over every choice of one alternative per entry, of that
+    choice's brute-force evaluation, keeping only total bindings: those
+    over every variable of the source antecedent."""
+    required = pattern_vars(entry.source for entry in query.entries)
+    found = set()
+    for choice in itertools.product(*(entry.alternatives for entry in query.entries)):
+        if pattern_vars(choice) == required:
+            found |= brute_force_bgp(choice, graph)
+    return found
+
+
+# Small terms for generated inputs: variables and constants in every
+# position, the placeholder among the graph's terms, a literal in objects.
+NAMES = ["x", "y", "z"]
+GEN_IRIS = [PA, PB, PC]
+GEN_LIT = lit("l")
+
+
+def _pattern_terms(allow_literal: bool):
+    consts = GEN_IRIS + ([GEN_LIT] if allow_literal else [])
+    return st.sampled_from([var(n) for n in NAMES] + consts)
+
+
+patterns = st.builds(Triple, _pattern_terms(False), _pattern_terms(False), _pattern_terms(True))
+ground_triples = st.builds(
+    Triple,
+    st.sampled_from([PA, PB, LAM]),
+    st.sampled_from([PA, LAM]),
+    st.sampled_from([PA, PB, LAM, GEN_LIT]),
+)
+EXAMPLES = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+
+@EXAMPLES
+@given(st.lists(patterns, min_size=1, max_size=2), st.sets(ground_triples, max_size=5), st.booleans())
+def test_union_query_matches_enumeration_oracle(antecedent, triples, drop_preds):
+    query = build_lambda_rewriting(antecedent, LAM, drop_preds)
+    graph = Graph(triples, validate=False)
+    assert evaluate_union_query(query, graph) == brute_force_union(query, graph)
+
+
+def brute_force_homomorphism(src, dst) -> bool:
+    """Some assignment of src's variables to dst's terms sends src into dst."""
+    names = sorted(pattern_vars(src))
+    universe = sorted({term for t in dst for term in t}, key=lambda t: t.sort_key())
+    return any(
+        Mapping.of(dict(zip(names, combo))).apply(src) <= dst
+        for combo in itertools.product(universe, repeat=len(names))
+    )
+
+
+@EXAMPLES
+@given(st.frozensets(patterns, max_size=3), st.frozensets(patterns, max_size=4))
+def test_homomorphism_matches_assignment_search(src, dst):
+    # src and dst draw on the same variable names: dst's variables are
+    # frozen terms, never renamed by the homomorphism.
+    assert _homomorphism_exists(src, dst) == brute_force_homomorphism(src, dst)
+
+
+def test_homomorphism_treats_target_variables_as_terms():
+    x, y = var("x"), var("y")
+    assert _homomorphism_exists(frozenset({Triple(x, PA, x)}), frozenset({Triple(y, PA, y)}))
+    assert not _homomorphism_exists(frozenset({Triple(x, PA, x)}), frozenset({Triple(x, PA, y)}))
+    assert not _homomorphism_exists(frozenset({Triple(x, PA, PB)}), frozenset({Triple(x, PA, y)}))
+    assert _homomorphism_exists(frozenset(), frozenset())
+
+
+def test_evaluation_leaves_no_garbage_cycles(instance_i1):
+    # Reference cycles would keep indexed graphs alive until the cyclic
+    # collector runs, which inflates peak memory over closure rounds.
+    rules = mine_rules()
+    src = frozenset(rules[0].antecedent)
+    gc.collect()
+    gc.disable()
+    try:
+        evaluate_bgp(rules[0].antecedent, instance_i1)
+        closure(instance_i1, rules)
+        _homomorphism_exists(src, src | frozenset(rules[1].antecedent))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

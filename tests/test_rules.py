@@ -14,9 +14,11 @@ from schemaforge import (
     InferenceRule,
     SchemaError,
     Triple,
+    TriplestoreSchema,
     apply_rule,
     chase_existentials,
     closure,
+    is_instance,
     iri,
     lit,
     var,
@@ -201,3 +203,37 @@ def test_chase_step_bound_trips_on_cyclic_rules():
     g = Graph([Triple(A, P, B)])
     with pytest.raises(ChaseNonterminationError):
         chase_existentials(g, [looping], FreshNames(), max_steps=50)
+
+
+def test_chase_counts_changes_not_attempts():
+    # One witness is needed. The match binding ?y to a literal is attempted
+    # on every pass but can never change the graph, so it costs no step.
+    rule = e(Triple(var("x"), P, var("y")), Triple(var("y"), Q, var("z")))
+    g = Graph([Triple(A, P, B), Triple(A, P, lit("l"))])
+    open_schema = TriplestoreSchema.of([Triple(var("v1"), var("v2"), var("v3"))], ["v1", "v2"])
+    for schema in (None, open_schema):
+        out = chase_existentials(g, [rule], FreshNames(), max_steps=1, schema=schema)
+        assert len(out) == 3
+        with pytest.raises(ChaseNonterminationError):
+            chase_existentials(g, [rule], FreshNames(), max_steps=0, schema=schema)
+
+
+def test_chase_with_schema_repairs_nulls_across_the_graph():
+    # The witness <n2 q fresh> covers no pattern until the invented n2 is
+    # unified with the subject constant of <b q ?v3>, in every triple.
+    schema = TriplestoreSchema.of(
+        [Triple(var("v1"), P, var("v2")), Triple(B, Q, var("v3"))], ["v1", "v2", "v3"]
+    )
+    rule = e(Triple(var("x"), P, var("y")), Triple(var("y"), Q, var("z")))
+    n1, n2 = iri("urn:null:1"), iri("urn:null:2")
+    grounding = Graph([Triple(n1, P, n2)])
+
+    plain = chase_existentials(grounding, [rule], FreshNames())
+    assert not is_instance(plain, schema)
+
+    nulls = {n1, n2}
+    out = chase_existentials(grounding, [rule], FreshNames(), schema=schema, nulls=nulls)
+    (fresh_iri,) = nulls - {n1}
+    assert out.triples == {Triple(n1, P, B), Triple(B, Q, fresh_iri)}
+    assert n2 not in nulls and n2 not in out.constants()
+    assert is_instance(out, TriplestoreSchema.of(schema.graph, schema.no_literal, [rule]))
