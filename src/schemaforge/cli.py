@@ -127,12 +127,11 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 def _cmd_applicable(args: argparse.Namespace) -> int:
     schema, _ = _load_schema(args.schema)
     rules, _ = _load_rules(args.rules)
-    from .consequence import applicable_rules
+    from .consequence import simple_schema_consequence_report
 
-    fired = applicable_rules(schema, rules, clock=BudgetClock(args.budget))
-    for rule in rules:
-        if rule.name in fired:
-            print(rule.name)
+    report = simple_schema_consequence_report(schema, rules, clock=BudgetClock(args.budget))
+    for i in report.fired:
+        print(rules[i].name)
     return EXIT_OK
 
 

@@ -21,7 +21,10 @@ semantically equivalent output schemas.
 
 The full (simple) schema consequence iterates basic consequences over all
 rules to a fixpoint, normalising after every round; it terminates because
-only finitely many pattern shapes exist over the fixed constant pool.
+only finitely many pattern shapes exist over the fixed constant pool. Every
+rule of a round sees the same schema, so the fixpoint builds one sandbox per
+round and fires every rule over it into the round's pattern and no-literal
+sets, through the same per-rule step as :func:`basic_consequence`.
 """
 
 from __future__ import annotations
@@ -268,9 +271,11 @@ def basic_consequence(
     empty existential set, and gains one instantiated consequent per
     surviving mapping. A rule is applicable iff at least one mapping
     survives filtering.
+
+    This is the one-rule entry point: it builds its own sandbox (score
+    mode) and calls the per-rule step that the fixpoint of
+    :func:`simple_schema_consequence_report` shares across a round.
     """
-    if mode not in (SCORE, CRITICAL):
-        raise ValueError(f"unknown mode {mode!r}")
     if lam is None:
         lam = lambda_for(schema, rule)
     if fresh is None:
@@ -278,18 +283,47 @@ def basic_consequence(
         fresh.observe(schema.graph)
         fresh.observe(rule.antecedent)
         fresh.observe(rule.consequent)
-
+    sandbox = build_sandbox(schema, lam) if mode == SCORE else None
+    patterns = set(schema.graph)
+    no_literal = set(schema.no_literal)
     drop_preds = all(t.p.is_constant for t in schema.graph)
-    if mode == CRITICAL:
+    applicable = _fire_rule(
+        schema, rule, mode, lam, sandbox, drop_preds, patterns, no_literal, fresh, triple_budget, clock
+    )
+    return TriplestoreSchema.of(patterns, no_literal), applicable
+
+
+def _fire_rule(
+    schema: TriplestoreSchema,
+    rule: InferenceRule,
+    mode: str,
+    lam: Term,
+    sandbox: Graph | None,
+    drop_preds: bool,
+    patterns: set[Triple],
+    no_literal: set[str],
+    fresh: FreshNames,
+    triple_budget: int,
+    clock: BudgetClock | None,
+) -> bool:
+    """Fire one rule over a canonical instance of the schema; report whether
+    any mapping survived.
+
+    Score mode evaluates the rule's union query over the given sandbox of
+    the schema; critical mode builds the rule's critical instance, which
+    depends on the rule's constants. Every surviving mapping's consequent
+    is added to ``patterns`` and ``no_literal`` in place.
+    """
+    if mode == SCORE:
+        canonical = sandbox
+        query = build_lambda_rewriting(rule.antecedent, lam, drop_preds)
+        mappings = evaluate_union_query(query, canonical, clock)
+    elif mode == CRITICAL:
         canonical = build_critical(schema, rule, lam, triple_budget, clock)
         mappings = evaluate_bgp(rule.antecedent, canonical, clock)
     else:
-        canonical = build_sandbox(schema, lam)
-        query = build_lambda_rewriting(rule.antecedent, lam, drop_preds)
-        mappings = evaluate_union_query(query, canonical, clock)
+        raise ValueError(f"unknown mode {mode!r}")
 
-    patterns = set(schema.graph)
-    no_literal = set(schema.no_literal)
     applicable = False
     for m in sorted(mappings, key=Mapping.sort_key):
         if clock is not None:
@@ -301,15 +335,18 @@ def basic_consequence(
             continue
         applicable = True
         expand_schema(patterns, no_literal, fm, rule.consequent, lam, fresh)
-    out = TriplestoreSchema.of(patterns, no_literal)
-    return out, applicable
+    return applicable
 
 
 @dataclass(frozen=True)
 class ConsequenceResult:
+    """The fixpoint, the names and input positions of the rules that ever
+    fired, and the rounds run (the last one changes nothing)."""
+
     schema: TriplestoreSchema
     applicable_rules: frozenset[str]
     rounds: int
+    fired: tuple[int, ...]
 
 
 def simple_schema_consequence_report(
@@ -320,7 +357,8 @@ def simple_schema_consequence_report(
     clock: BudgetClock | None = None,
 ) -> ConsequenceResult:
     """Fixpoint of basic consequences over all rules, with normalisation
-    per round; also reports which rules ever fired."""
+    per round, in score mode over one sandbox per round; also reports
+    which rules ever fired."""
     fresh = FreshNames()
     fresh.observe(schema.graph)
     for r in rules:
@@ -329,7 +367,7 @@ def simple_schema_consequence_report(
     lam = lambda_for(schema, *rules)
 
     current = normalize_schema(schema.graph_part())
-    applicable: set[str] = set()
+    fired: set[int] = set()
     rounds = 0
     while True:
         rounds += 1
@@ -337,19 +375,22 @@ def simple_schema_consequence_report(
             clock.check(every=1)
         patterns = set(current.graph)
         no_literal = set(current.no_literal)
-        for rule in rules:
-            out, fired = basic_consequence(
-                current, rule, mode, lam=lam, fresh=fresh, triple_budget=triple_budget, clock=clock
-            )
-            patterns |= out.graph
-            no_literal |= out.no_literal
-            if fired:
-                applicable.add(rule.name)
+        sandbox = build_sandbox(current, lam) if mode == SCORE else None
+        drop_preds = all(t.p.is_constant for t in current.graph)
+        for i, rule in enumerate(rules):
+            if _fire_rule(
+                current, rule, mode, lam, sandbox, drop_preds, patterns, no_literal, fresh,
+                triple_budget, clock,
+            ):
+                fired.add(i)
+        del sandbox  # with its indexes, so it is not held through normalisation
         merged = normalize_schema(TriplestoreSchema.of(patterns, no_literal))
         if merged.graph == current.graph and merged.no_literal == current.no_literal:
             break
         current = merged
-    return ConsequenceResult(current, frozenset(applicable), rounds)
+    positions = tuple(sorted(fired))
+    names = frozenset(rules[i].name for i in positions)
+    return ConsequenceResult(current, names, rounds, positions)
 
 
 def simple_schema_consequence(

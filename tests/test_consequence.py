@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schemaforge import (
     CRITICAL,
     SCORE,
     CriticalInstanceTooLargeError,
+    FreshNames,
     InferenceRule,
     Mapping,
     Triple,
@@ -23,13 +28,17 @@ from schemaforge import (
     is_instance,
     iri,
     lit,
+    normalize_schema,
     schema_contains,
     schema_equivalent,
     simple_schema_consequence,
     simple_schema_consequence_report,
     var,
 )
+from schemaforge import consequence
 from schemaforge.consequence import lambda_for
+from schemaforge.formats import serialize_schema
+from schemaforge.generator import GeneratorConfig, generate
 
 from conftest import (
     CARRIED_BY,
@@ -41,6 +50,7 @@ from conftest import (
     OFF_LIMIT_AREA,
     PERSONNEL_TAG,
     RDF_TYPE,
+    mine_rules,
 )
 
 A = iri("urn:c:a")
@@ -285,3 +295,154 @@ def test_applicable_rules_running_example(schema_s1, rules_r1):
     r3 = rules_r1[2]
     assert applicable_rules(schema_s1, [r3]) == frozenset()
     assert applicable_rules(schema_s1, []) == frozenset()
+
+
+def test_fired_reports_rules_by_position(schema_s1, rules_r1):
+    # Two rules sharing a name are still two rules.
+    rules = [replace(rules_r1[0], name=""), replace(rules_r1[1], name=""), rules_r1[2]]
+    report = simple_schema_consequence_report(schema_s1, rules)
+    assert report.fired == (0, 1, 2)
+    assert report.applicable_rules == {"", "r3"}
+    assert simple_schema_consequence_report(schema_s1, [rules_r1[2]]).fired == ()
+
+
+# --- the shared-sandbox fixpoint against one basic consequence per rule ------
+
+
+def per_rule_fixpoint(schema, rules, mode=SCORE):
+    """The fixpoint as one basic consequence per rule per round, each over
+    its own canonical instance, with the round's union normalised."""
+    fresh = FreshNames()
+    fresh.observe(schema.graph)
+    for r in rules:
+        fresh.observe(r.antecedent)
+        fresh.observe(r.consequent)
+    lam = lambda_for(schema, *rules)
+    current = normalize_schema(schema.graph_part())
+    applicable: set[str] = set()
+    rounds = 0
+    while True:
+        rounds += 1
+        patterns = set(current.graph)
+        no_literal = set(current.no_literal)
+        for rule in rules:
+            out, fired = basic_consequence(current, rule, mode, lam=lam, fresh=fresh)
+            patterns |= out.graph
+            no_literal |= out.no_literal
+            if fired:
+                applicable.add(rule.name)
+        merged = normalize_schema(TriplestoreSchema.of(patterns, no_literal))
+        if merged.graph == current.graph and merged.no_literal == current.no_literal:
+            return serialize_schema(current), frozenset(applicable), rounds
+        current = merged
+
+
+def assert_matches_per_rule_fixpoint(schema, rules, mode=SCORE):
+    report = simple_schema_consequence_report(schema, rules, mode)
+    got = (serialize_schema(report.schema), report.applicable_rules, report.rounds)
+    assert got == per_rule_fixpoint(schema, rules, mode)
+    return report
+
+
+U = iri("urn:c:u")
+Q = iri("urn:c:q")
+R = iri("urn:c:r")
+VOCAB = [A, P, Q]
+LITS = [lit("1"), lit("2")]
+EXAMPLES = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+
+@st.composite
+def small_schemas(draw, max_size=6):
+    """Schemas over a tiny vocabulary, so rules match and chain; variables
+    may stand in every position, and object variables are drawn both
+    no-literal and literal-allowed."""
+    patterns: list[Triple] = []
+    no_literal: set[str] = set()
+    for i in range(draw(st.integers(1, max_size))):
+        terms = []
+        for pos in range(3):
+            kind = draw(st.sampled_from(["var", "iri", "lit"] if pos == 2 else ["var", "iri"]))
+            if kind == "var":
+                name = f"s{i}_{pos}"
+                terms.append(var(name))
+                if pos < 2 or draw(st.booleans()):
+                    no_literal.add(name)
+            else:
+                terms.append(draw(st.sampled_from(VOCAB if kind == "iri" else LITS)))
+        patterns.append(Triple(*terms))
+    return TriplestoreSchema.of(patterns, no_literal)
+
+
+@st.composite
+def small_rules(draw, max_rules=3):
+    """Rules whose antecedents use variables and constants in every position
+    and whose consequents reuse the antecedent's variables."""
+    rules = []
+    rule_vars = [var("x"), var("y"), var("z")]
+    for i in range(draw(st.integers(1, max_rules))):
+        antecedent = []
+        for _ in range(draw(st.integers(1, 2))):
+            s = draw(st.sampled_from(rule_vars + [A]))
+            p = draw(st.sampled_from(rule_vars + [P, Q]))
+            o = draw(st.sampled_from(rule_vars + [A] + LITS))
+            antecedent.append(Triple(s, p, o))
+        bound = sorted({term for t in antecedent for term in t if term.is_variable}, key=str)
+        consequent = []
+        for _ in range(draw(st.integers(1, 2))):
+            s = draw(st.sampled_from(bound + [A]))
+            o = draw(st.sampled_from([t for t in bound if t != s] + [A] + LITS))
+            consequent.append(Triple(s, draw(st.sampled_from([P, Q, U])), o))
+        rules.append(InferenceRule.of(antecedent, consequent, name=f"h{i}"))
+    return rules
+
+
+@EXAMPLES
+@given(small_schemas(), small_rules())
+def test_shared_sandbox_fixpoint_matches_per_rule_fixpoint(schema, rules):
+    assert_matches_per_rule_fixpoint(schema, rules)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(small_schemas(max_size=3), small_rules(max_rules=2))
+def test_critical_fixpoint_matches_per_rule_fixpoint(schema, rules):
+    assert_matches_per_rule_fixpoint(schema, rules, CRITICAL)
+
+
+def test_shared_sandbox_fixpoint_on_generated_problems():
+    for g in range(20):
+        schema, rules = generate(GeneratorConfig(0.1, 60, 50, 50, 50, 10, 0, 3, g))
+        assert_matches_per_rule_fixpoint(schema, rules)
+
+
+def test_shared_sandbox_fixpoint_on_running_example(schema_s1):
+    assert assert_matches_per_rule_fixpoint(schema_s1, mine_rules()).rounds == 3
+
+
+def test_literal_verdict_changes_on_an_old_sandbox_triple():
+    # Round 1 adds `:a :p ?v` with literals allowed; it shares the sandbox
+    # triple (:a :p λ) with the no-literal `:a :p ?x`, so only round 2 sees
+    # that r2 may copy a literal object, through a triple that is not new.
+    schema = TriplestoreSchema.of([Triple(A, P, var("x")), Triple(var("u"), R, var("w"))], {"x", "u"})
+    r1 = InferenceRule.of([Triple(var("s"), R, var("o"))], [Triple(A, P, var("o"))], name="r1")
+    r2 = InferenceRule.of([Triple(var("s"), P, var("o"))], [Triple(var("s"), Q, var("o"))], name="r2")
+    out = assert_matches_per_rule_fixpoint(schema, [r1, r2])
+    assert out.rounds == 3
+    (qt,) = [t for t in out.schema.graph if t.p == Q]
+    assert qt.s == A and qt.o.is_variable and qt.o.lexical not in out.schema.no_literal
+
+
+def test_one_sandbox_per_round(monkeypatch, schema_s1, rules_r1):
+    builds = []
+    real = consequence.build_sandbox
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(consequence, "build_sandbox", counting)
+    report = simple_schema_consequence_report(schema_s1, rules_r1, SCORE)
+    assert len(builds) == report.rounds == 3
+    builds.clear()
+    simple_schema_consequence_report(schema_s1, rules_r1, CRITICAL)
+    assert builds == []
