@@ -21,6 +21,7 @@ from .consequence import (
     find_origin_patterns,
     simple_schema_consequence,
     simple_schema_consequence_report,
+    surviving_mappings,
 )
 from .errors import (
     BudgetExceededError,

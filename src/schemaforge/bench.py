@@ -1,10 +1,11 @@
 """Benchmark harness: timed consequence computations over generated inputs.
 
-A sweep is a base configuration plus a list of per-point overrides; every
-point is generated once per repetition (seed advanced by one each time) and
-each requested algorithm/mode combination is measured on it under a wall-
-clock budget. A run that exhausts a budget is recorded with its flag set
-and the sweep continues. Generation happens outside the timed section.
+A sweep is a base configuration plus a list of per-point overrides. Every
+run regenerates the point's input from the same seed, so each requested
+algorithm/mode combination and every repetition is measured on the same
+input, under a wall-clock budget. A run that exhausts a budget is recorded
+with its flag set and the sweep continues. Generation happens outside the
+timed section.
 
 Records serialise to CSV with one fixed column set; all value columns are
 deterministic for a given seed, only the timing columns vary between runs.

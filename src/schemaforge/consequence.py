@@ -16,7 +16,10 @@ Two canonical instances are supported:
   rewritten into a union query whose per-triple variants re-introduce the
   placeholder wherever a constant of A would have matched a wildcard.
 
-Both routes feed the same filtering and expansion phases, and produce
+Both routes go through one matching step, :func:`surviving_mappings`:
+evaluate, sort, and keep the mappings :func:`filter_and_annotate` passes,
+whose origins are looked up from each mapping's ground image. The
+fixpoint and the violation search both use it, and the two routes produce
 semantically equivalent output schemas.
 
 The full (simple) schema consequence iterates basic consequences over all
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import CriticalInstanceTooLargeError
 from .eval import (
@@ -42,7 +45,7 @@ from .eval import (
     lambda_variants,
 )
 from .rules import InferenceRule
-from .schema import TriplestoreSchema, normalize_schema
+from .schema import TriplestoreSchema, normalize_schema, triple_instantiates
 from .terms import (
     FreshNames,
     Graph,
@@ -137,22 +140,11 @@ def build_critical(
 
 
 def find_origin_patterns(t: Triple, schema: TriplestoreSchema) -> set[Triple]:
-    """Schema patterns a canonical-instance triple can arise from.
-
-    Positionwise: the pattern carries the same constant, or a variable for
-    which the triple's term is a permitted substitute (any IRI, placeholder
-    included; a literal only in object position for a variable outside the
-    no-literal set).
-    """
-    delta = schema.no_literal
-    return {
-        pattern
-        for pattern in schema.index.candidates(t)
-        if all(
-            p_term.is_constant or not value.is_literal or (pos == 2 and p_term.lexical not in delta)
-            for pos, (p_term, value) in enumerate(zip(pattern, t))
-        )
-    }
+    """Schema patterns a canonical-instance triple can arise from: the
+    candidates the pattern index returns that ``t`` instantiates under the
+    no-literal rule (any IRI, placeholder included, for a variable; a
+    literal only for an object variable outside the no-literal set)."""
+    return {p for p in schema.index.candidates(t) if triple_instantiates(t, p, schema.no_literal)}
 
 
 @dataclass(frozen=True)
@@ -186,28 +178,23 @@ def filter_and_annotate(
     the mapping, and a placeholder-bound variable whose origins all forbid
     literals joins the temporary set. Finally a mapping binding any
     temporary-set variable to a literal is rejected.
+
+    The enabling patterns are the origins of the placeholder variants of
+    each antecedent triple's ground image that ``canonical`` holds. For a
+    mapping binding every antecedent variable, which is what every caller
+    in the package passes, these are exactly the images of the triple's
+    own variants.
     """
     antecedent = sorted(antecedent, key=Triple.sort_key)
-    consequent = sorted(consequent, key=Triple.sort_key)
-    delta_m: set[str] = set()
-    for t in list(antecedent) + list(consequent):
-        for term in (t.s, t.p):
-            if term.is_variable:
-                delta_m.add(term.lexical)
+    delta_m = {term.lexical for t in (*antecedent, *consequent) for term in (t.s, t.p) if term.is_variable}
 
     for t_a in antecedent:
-        if mode == CRITICAL:
-            candidates = [t_a]
-        else:
-            candidates = lambda_variants(t_a, lam, drop_lambda_predicates)
-        origins: set[Triple] = set()
-        for t_q in candidates:
-            image = m.apply_triple(t_q)
-            if image in canonical:
-                origins |= find_origin_patterns(image, schema)
+        image = m.apply_triple(t_a)
+        variants = (image,) if mode == CRITICAL else lambda_variants(image, lam, drop_lambda_predicates)
+        origins = {o for v in variants if v in canonical for o in find_origin_patterns(v, schema)}
 
         obj = t_a.o
-        value = m.apply_term(obj)
+        value = image.o
         if value.is_literal:
             permitted = any(
                 o.o == value or (o.o.is_variable and o.o.lexical not in schema.no_literal)
@@ -224,6 +211,33 @@ def filter_and_annotate(
         if bound is not None and bound.is_literal:
             return None
     return FilteredMapping(m, frozenset(delta_m))
+
+
+def surviving_mappings(
+    antecedent: Collection[Triple],
+    consequent: Collection[Triple],
+    schema: TriplestoreSchema,
+    mode: str,
+    lam: Term,
+    canonical: Graph,
+    clock: BudgetClock | None = None,
+) -> Iterator[FilteredMapping]:
+    """The one matching step, shared by the fixpoint and the violation
+    search: in sorted order, the antecedent's mappings into ``canonical``
+    (the schema's sandbox in score mode, matched by the union query, or a
+    critical instance) that :func:`filter_and_annotate` keeps. Placeholder
+    predicates are dropped from the union query when the sandbox has none."""
+    drop = mode == SCORE and not canonical.match(None, lam, None)
+    if mode == SCORE:
+        mappings = evaluate_union_query(build_lambda_rewriting(antecedent, lam, drop), canonical, clock)
+    else:
+        mappings = evaluate_bgp(antecedent, canonical, clock)
+    for m in sorted(mappings, key=Mapping.sort_key):
+        if clock is not None:
+            clock.check(every=64)
+        fm = filter_and_annotate(m, antecedent, consequent, schema, mode, lam, canonical, drop)
+        if fm is not None:
+            yield fm
 
 
 def expand_schema(
@@ -286,9 +300,8 @@ def basic_consequence(
     sandbox = build_sandbox(schema, lam) if mode == SCORE else None
     patterns = set(schema.graph)
     no_literal = set(schema.no_literal)
-    drop_preds = all(t.p.is_constant for t in schema.graph)
     applicable = _fire_rule(
-        schema, rule, mode, lam, sandbox, drop_preds, patterns, no_literal, fresh, triple_budget, clock
+        schema, rule, mode, lam, sandbox, patterns, no_literal, fresh, triple_budget, clock
     )
     return TriplestoreSchema.of(patterns, no_literal), applicable
 
@@ -299,40 +312,23 @@ def _fire_rule(
     mode: str,
     lam: Term,
     sandbox: Graph | None,
-    drop_preds: bool,
     patterns: set[Triple],
     no_literal: set[str],
     fresh: FreshNames,
     triple_budget: int,
     clock: BudgetClock | None,
 ) -> bool:
-    """Fire one rule over a canonical instance of the schema; report whether
-    any mapping survived.
-
-    Score mode evaluates the rule's union query over the given sandbox of
-    the schema; critical mode builds the rule's critical instance, which
-    depends on the rule's constants. Every surviving mapping's consequent
-    is added to ``patterns`` and ``no_literal`` in place.
-    """
+    """Fire one rule over the given sandbox (score mode) or the rule's own
+    critical instance, adding every surviving mapping's consequent to
+    ``patterns`` and ``no_literal`` in place; report whether any survived."""
     if mode == SCORE:
         canonical = sandbox
-        query = build_lambda_rewriting(rule.antecedent, lam, drop_preds)
-        mappings = evaluate_union_query(query, canonical, clock)
     elif mode == CRITICAL:
         canonical = build_critical(schema, rule, lam, triple_budget, clock)
-        mappings = evaluate_bgp(rule.antecedent, canonical, clock)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-
     applicable = False
-    for m in sorted(mappings, key=Mapping.sort_key):
-        if clock is not None:
-            clock.check(every=64)
-        fm = filter_and_annotate(
-            m, rule.antecedent, rule.consequent, schema, mode, lam, canonical, drop_preds
-        )
-        if fm is None:
-            continue
+    for fm in surviving_mappings(rule.antecedent, rule.consequent, schema, mode, lam, canonical, clock):
         applicable = True
         expand_schema(patterns, no_literal, fm, rule.consequent, lam, fresh)
     return applicable
@@ -376,11 +372,9 @@ def simple_schema_consequence_report(
         patterns = set(current.graph)
         no_literal = set(current.no_literal)
         sandbox = build_sandbox(current, lam) if mode == SCORE else None
-        drop_preds = all(t.p.is_constant for t in current.graph)
         for i, rule in enumerate(rules):
             if _fire_rule(
-                current, rule, mode, lam, sandbox, drop_preds, patterns, no_literal, fresh,
-                triple_budget, clock,
+                current, rule, mode, lam, sandbox, patterns, no_literal, fresh, triple_budget, clock
             ):
                 fired.add(i)
         del sandbox  # with its indexes, so it is not held through normalisation

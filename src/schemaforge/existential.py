@@ -6,7 +6,8 @@ without a witness for its consequent. The search works backwards: for every
 inference rule whose consequent could produce a match of the existential
 antecedent, every rewriting of that rule's antecedent (obtained by
 repeatedly unfolding antecedent triples through other rules' consequents)
-is matched against the schema's sandbox graph. Each surviving match is
+is matched against the schema's sandbox graph through the fixpoint's own
+matching step, :func:`consequence.surviving_mappings`. Each surviving match is
 grounded into a small candidate instance, completed with the package's one
 chase (:func:`rules.chase_existentials`, given the schema so that it
 repairs) so it satisfies all existential rules, closed under the inference
@@ -32,9 +33,10 @@ from .consequence import (
     SCORE,
     build_sandbox,
     choose_lambda,
-    filter_and_annotate,
+    filter_and_annotate,  # not called here: perfbench's tracer test reads the name in this module
     sandbox_of_pattern,
     simple_schema_consequence,
+    surviving_mappings,
 )
 from .errors import RewriteDepthExceededError
 from .eval import BudgetClock, _join, build_lambda_rewriting, evaluate_union_query
@@ -144,9 +146,10 @@ def rewrite_antecedents(
             raise RewriteDepthExceededError(
                 f"antecedent rewriting of rule {rule.name or '?'} exceeded depth {max_depth}"
             )
+        # One renaming per rule keeps every candidate of this rewriting apart.
+        renamings = [_rename_apart(other, fresh) for other in rules]
         for t in sorted(current.antecedent, key=Triple.sort_key):
-            for other in rules:
-                renamed = _rename_apart(other, fresh)
+            for renamed in renamings:
                 for t_c in renamed.sorted_consequent():
                     theta = _mgu(t, t_c)
                     if theta is None:
@@ -201,24 +204,14 @@ def _groundings_for_rule(
     rules: Sequence[InferenceRule],
     sandbox: Graph,
     lam: Term,
-    drop_preds: bool,
     fresh: FreshNames,
     max_rewrite_depth: int,
     clock: BudgetClock | None,
 ) -> list[_Grounding]:
     out: list[_Grounding] = []
     for rewriting in rewrite_antecedents(rule, list(rules), fresh, max_rewrite_depth):
-        query = build_lambda_rewriting(rewriting.antecedent, lam, drop_preds)
-        mappings = evaluate_union_query(query, sandbox, clock)
-        for m in sorted(mappings, key=Mapping.sort_key):
-            if clock is not None:
-                clock.check(every=16)
-            fm = filter_and_annotate(
-                m, rewriting.antecedent, (), schema, SCORE, lam, sandbox, drop_preds
-            )
-            if fm is None:
-                continue
-            kept = Mapping.of({k: v for k, v in m.bindings if v != lam})
+        for fm in surviving_mappings(rewriting.antecedent, (), schema, SCORE, lam, sandbox, clock):
+            kept = Mapping.of({k: v for k, v in fm.mapping.bindings if v != lam})
             partially = kept.apply(rewriting.antecedent)
             grounding = Mapping.of(
                 {name: fresh.fresh_iri() for name in sorted(pattern_vars(partially))}
@@ -264,7 +257,6 @@ def retained_existentials(
     lam = choose_lambda(pool)
 
     sandbox = build_sandbox(schema, lam)
-    drop_preds = all(t.p.is_constant for t in schema.graph)
     # Keyed by rule position: rule names need not be unique.
     grounding_cache: dict[int, list[_Grounding]] = {}
 
@@ -280,8 +272,7 @@ def retained_existentials(
                 continue
             if position not in grounding_cache:
                 grounding_cache[position] = _groundings_for_rule(
-                    rule, schema, rules, sandbox, lam, drop_preds, fresh,
-                    max_rewrite_depth, clock,
+                    rule, schema, rules, sandbox, lam, fresh, max_rewrite_depth, clock
                 )
             for grounding in grounding_cache[position]:
                 if violations([e], grounding.closed):

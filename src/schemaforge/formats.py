@@ -252,10 +252,7 @@ class _Parser:
 
     def make_list(self, items: list[Term]) -> Term:
         head: Term = RDF_NIL
-        cells = []
-        for item in items:
-            cells.append(item)
-        for item in reversed(cells):
+        for item in reversed(items):
             node = self.fresh_bnode()
             self.extra_triples.append(Triple(node, RDF_FIRST, item))
             self.extra_triples.append(Triple(node, RDF_REST, head))
@@ -310,7 +307,12 @@ class _Parser:
 
 
 def parse_graph(text: str, source: str = "<graph>") -> tuple[Graph, dict[str, str]]:
-    p = _Parser(tokenize(text, source), source)
+    return _parse_statements(text, source, allow_bnodes=False)
+
+
+def _parse_statements(text: str, source: str, allow_bnodes: bool) -> tuple[Graph, dict[str, str]]:
+    """Prefix declarations and '.'-terminated statements up to the end."""
+    p = _Parser(tokenize(text, source), source, allow_bnodes=allow_bnodes)
     triples: list[Triple] = []
     while True:
         p.skip_comments()
@@ -427,20 +429,7 @@ def parse_schema(text: str, source: str = "<schema>") -> tuple[TriplestoreSchema
 
 def parse_turtle(text: str, source: str = "<turtle>") -> tuple[Graph, dict[str, str]]:
     """Turtle subset with blank nodes and lists, both lowered to IRIs."""
-    p = _Parser(tokenize(text, source), source, allow_bnodes=True)
-    triples: list[Triple] = []
-    while True:
-        p.skip_comments()
-        if p.peek().typ == "EOF":
-            break
-        if p.peek().typ == "AT":
-            p.parse_prefix_decl()
-            continue
-        triples.extend(p.parse_statement())
-    try:
-        return Graph(triples), dict(p.prefixes)
-    except Exception as exc:
-        raise ParseError(str(exc), source) from exc
+    return _parse_statements(text, source, allow_bnodes=True)
 
 
 def serialize_turtle(graph: Graph, prefixes: dict[str, str] | None = None) -> str:

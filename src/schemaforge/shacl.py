@@ -178,11 +178,6 @@ class _Slot:
     kind: str  # 'consts' | 'any-iri' | 'any'
     consts: tuple[Term, ...] = ()
 
-    def terms(self) -> list[Term | str]:
-        if self.kind == "consts":
-            return list(self.consts)
-        return [self.kind]
-
 
 def _conjoin(a: _Slot, b: _Slot) -> _Slot:
     order = {_ANY: 0, _ANY_IRI: 1, "consts": 2}
@@ -748,29 +743,41 @@ class _Validator:
             doc.match(shape, target, None) for target in TARGET_PREDICATES
         ):
             return self._values_conform(node, shape, shape, graph, stack)
-        for t in doc.match(shape, SH_IN, None):
-            if node not in read_list(doc, t.o, shape.lexical):
-                return False
-        for t in doc.match(shape, SH_NODE_KIND, None):
-            if t.o == SH_IRI and not node.is_iri:
-                return False
-            if t.o == SH_IRI_OR_LITERAL and not (node.is_iri or node.is_literal):
-                return False
-        for t in doc.match(shape, SH_HAS_VALUE, None):
-            if node != t.o:
-                return False
-        for t in doc.match(shape, SH_CLASS, None):
-            if not graph.match(node, RDF_TYPE, t.o):
-                return False
-        for t in doc.match(shape, SH_NODE, None):
-            if not self.conforms(node, t.o, graph, stack):
-                return False
-        for t in doc.match(shape, SH_OR, None):
-            members = read_list(doc, t.o, shape.lexical)
-            if not any(self.conforms(node, m, graph, stack) for m in members):
-                return False
+        if not self._value_ok(node, shape, graph, stack, check_has_value=True):
+            return False
         for t in doc.match(shape, SH_PROPERTY, None):
             if not self._values_conform(node, t.o, t.o, graph, stack):
+                return False
+        return True
+
+    def _value_ok(
+        self, v: Term, carrier: Term, graph: Graph, stack: tuple[Term, ...], check_has_value: bool
+    ) -> bool:
+        """The carrier's sh:in, sh:nodeKind, sh:hasValue (a node's own, when
+        asked), sh:class, sh:node and sh:or constraints on one term, in that
+        order."""
+        doc = self.doc
+        for t in doc.match(carrier, SH_IN, None):
+            if v not in read_list(doc, t.o, carrier.lexical):
+                return False
+        for t in doc.match(carrier, SH_NODE_KIND, None):
+            if t.o == SH_IRI and not v.is_iri:
+                return False
+            if t.o == SH_IRI_OR_LITERAL and not (v.is_iri or v.is_literal):
+                return False
+        if check_has_value:
+            for t in doc.match(carrier, SH_HAS_VALUE, None):
+                if v != t.o:
+                    return False
+        for t in doc.match(carrier, SH_CLASS, None):
+            if not graph.match(v, RDF_TYPE, t.o):
+                return False
+        for t in doc.match(carrier, SH_NODE, None):
+            if not self.conforms(v, t.o, graph, stack):
+                return False
+        for t in doc.match(carrier, SH_OR, None):
+            members = read_list(doc, t.o, carrier.lexical)
+            if not any(self.conforms(v, m, graph, stack) for m in members):
                 return False
         return True
 
@@ -798,36 +805,9 @@ class _Validator:
         for t in doc.match(constraint_carrier, SH_HAS_VALUE, None):
             if t.o not in values:
                 return False
-        has_value_constraints = any(
-            doc.match(constraint_carrier, p, None)
-            for p in (SH_IN, SH_NODE_KIND, SH_OR, SH_CLASS, SH_NODE)
+        return all(
+            self._value_ok(v, constraint_carrier, graph, stack, check_has_value=False) for v in values
         )
-        if has_value_constraints:
-            probe = self.__class__(doc)
-
-            def value_ok(v: Term) -> bool:
-                for t in doc.match(constraint_carrier, SH_IN, None):
-                    if v not in read_list(doc, t.o, constraint_carrier.lexical):
-                        return False
-                for t in doc.match(constraint_carrier, SH_NODE_KIND, None):
-                    if t.o == SH_IRI and not v.is_iri:
-                        return False
-                    if t.o == SH_IRI_OR_LITERAL and not (v.is_iri or v.is_literal):
-                        return False
-                for t in doc.match(constraint_carrier, SH_CLASS, None):
-                    if not graph.match(v, RDF_TYPE, t.o):
-                        return False
-                for t in doc.match(constraint_carrier, SH_NODE, None):
-                    if not probe.conforms(v, t.o, graph, stack):
-                        return False
-                for t in doc.match(constraint_carrier, SH_OR, None):
-                    members = read_list(doc, t.o, constraint_carrier.lexical)
-                    if not any(probe.conforms(v, m, graph, stack) for m in members):
-                        return False
-                return True
-
-            return all(value_ok(v) for v in values)
-        return True
 
 
 def validate_graph(graph: Graph, doc: ShapeDocument) -> bool:

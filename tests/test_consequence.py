@@ -13,6 +13,7 @@ from schemaforge import (
     SCORE,
     CriticalInstanceTooLargeError,
     FreshNames,
+    Graph,
     InferenceRule,
     Mapping,
     Triple,
@@ -22,6 +23,7 @@ from schemaforge import (
     build_critical,
     build_lambda_rewriting,
     build_sandbox,
+    evaluate_bgp,
     evaluate_union_query,
     filter_and_annotate,
     find_origin_patterns,
@@ -33,10 +35,13 @@ from schemaforge import (
     schema_equivalent,
     simple_schema_consequence,
     simple_schema_consequence_report,
+    surviving_mappings,
     var,
 )
 from schemaforge import consequence
 from schemaforge.consequence import lambda_for
+from schemaforge.consequence import FilteredMapping
+from schemaforge.eval import lambda_variants
 from schemaforge.formats import serialize_schema
 from schemaforge.generator import GeneratorConfig, generate
 
@@ -446,3 +451,169 @@ def test_one_sandbox_per_round(monkeypatch, schema_s1, rules_r1):
     builds.clear()
     simple_schema_consequence_report(schema_s1, rules_r1, CRITICAL)
     assert builds == []
+
+
+# --- one matching step: surviving_mappings, origins from the ground image ----
+
+
+def per_variant_origins(t, schema):
+    """Origins by a scan of the schema, with the positionwise literal test
+    written out rather than through ``triple_instantiates``."""
+    delta = schema.no_literal
+    return {
+        pattern
+        for pattern in schema.graph
+        if all(
+            p_term == value
+            if p_term.is_constant
+            else not value.is_literal or (pos == 2 and p_term.lexical not in delta)
+            for pos, (p_term, value) in enumerate(zip(pattern, t))
+        )
+    }
+
+
+def per_variant_filter(m, antecedent, consequent, schema, mode, lam, canonical, drop):
+    """filter_and_annotate with origins taken from the images of each
+    antecedent triple's own placeholder variants."""
+    antecedent = sorted(antecedent, key=Triple.sort_key)
+    consequent = sorted(consequent, key=Triple.sort_key)
+    delta_m = set()
+    for t in list(antecedent) + list(consequent):
+        for term in (t.s, t.p):
+            if term.is_variable:
+                delta_m.add(term.lexical)
+
+    for t_a in antecedent:
+        if mode == CRITICAL:
+            candidates = [t_a]
+        else:
+            candidates = lambda_variants(t_a, lam, drop)
+        origins = set()
+        for t_q in candidates:
+            image = m.apply_triple(t_q)
+            if image in canonical:
+                origins |= per_variant_origins(image, schema)
+
+        obj = t_a.o
+        value = m.apply_term(obj)
+        if value.is_literal:
+            permitted = any(
+                o.o == value or (o.o.is_variable and o.o.lexical not in schema.no_literal)
+                for o in origins
+            )
+            if not permitted:
+                return None
+        elif obj.is_variable and value == lam:
+            if not any(o.o.is_variable and o.o.lexical not in schema.no_literal for o in origins):
+                delta_m.add(obj.lexical)
+
+    for name in sorted(delta_m):
+        bound = m.get(name)
+        if bound is not None and bound.is_literal:
+            return None
+    return FilteredMapping(m, frozenset(delta_m))
+
+
+def canonical_and_mappings(schema, rule, mode, lam, drop=False):
+    if mode == SCORE:
+        sandbox = build_sandbox(schema, lam)
+        return sandbox, evaluate_union_query(build_lambda_rewriting(rule.antecedent, lam, drop), sandbox)
+    critical = build_critical(schema, rule, lam)
+    return critical, evaluate_bgp(rule.antecedent, critical)
+
+
+@EXAMPLES
+@given(small_schemas(), small_rules(max_rules=1), st.sampled_from([SCORE, CRITICAL]))
+def test_ground_image_origins_match_per_variant_origins(schema, rules, mode):
+    (rule,) = rules
+    lam = lambda_for(schema, rule)
+    flag = all(t.p.is_constant for t in schema.graph)
+    for drop in sorted({False, flag and mode == SCORE}):
+        canonical, mappings = canonical_and_mappings(schema, rule, mode, lam, drop)
+        for m in mappings:
+            args = (m, rule.antecedent, rule.consequent, schema, mode, lam, canonical, drop)
+            assert filter_and_annotate(*args) == per_variant_filter(*args)
+        for t in canonical:
+            assert find_origin_patterns(t, schema) == per_variant_origins(t, schema)
+
+
+@EXAMPLES
+@given(small_schemas(), small_rules(max_rules=1), st.sampled_from([SCORE, CRITICAL]))
+def test_surviving_mappings_is_evaluate_sort_and_filter(schema, rules, mode):
+    (rule,) = rules
+    lam = lambda_for(schema, rule)
+    # The placeholder-predicate flag, read off the schema rather than the sandbox.
+    drop = mode == SCORE and all(t.p.is_constant for t in schema.graph)
+    canonical, mappings = canonical_and_mappings(schema, rule, mode, lam, drop)
+    expected = []
+    for m in sorted(mappings, key=Mapping.sort_key):
+        fm = per_variant_filter(m, rule.antecedent, rule.consequent, schema, mode, lam, canonical, drop)
+        if fm is not None:
+            expected.append(fm)
+    got = surviving_mappings(rule.antecedent, rule.consequent, schema, mode, lam, canonical)
+    assert list(got) == expected
+
+
+def test_variable_predicate_schema_matches_through_a_placeholder_predicate():
+    schema = TriplestoreSchema.of([Triple(var("s"), var("p"), var("o"))], {"s", "p"})
+    rule = InferenceRule.of([Triple(var("x"), P, var("y"))], [Triple(var("y"), Q, var("x"))], name="r")
+    lam = lambda_for(schema, rule)
+    sandbox = build_sandbox(schema, lam)
+    assert sandbox == Graph([Triple(lam, lam, lam)])
+    (fm,) = surviving_mappings(rule.antecedent, rule.consequent, schema, SCORE, lam, sandbox)
+    assert fm.mapping == Mapping.of({"x": lam, "y": lam})
+    assert fm.temp_no_literal == {"x", "y"}
+    out, applicable = basic_consequence(schema, rule)
+    assert applicable and len(out.graph) == 2
+
+
+def test_unknown_mode_raises_before_any_instance_is_built(monkeypatch, schema_s1, rules_r1):
+    built = []
+    monkeypatch.setattr(consequence, "build_critical", lambda *a, **k: built.append(a))
+    monkeypatch.setattr(consequence, "build_sandbox", lambda *a, **k: built.append(a))
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        basic_consequence(schema_s1, rules_r1[0], mode="bogus")
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        simple_schema_consequence_report(schema_s1, rules_r1, mode="bogus")
+    assert built == []
+
+
+@pytest.mark.parametrize("mode", [SCORE, CRITICAL])
+def test_origins_are_looked_up_once_per_held_variant_of_each_image(monkeypatch, mode, schema_s1, rules_r1):
+    looked_up = []
+    real = consequence.find_origin_patterns
+
+    def recording(t, schema):
+        looked_up.append(t)
+        return real(t, schema)
+
+    monkeypatch.setattr(consequence, "find_origin_patterns", recording)
+    for rule in rules_r1:
+        lam = lambda_for(schema_s1, rule)
+        canonical, mappings = canonical_and_mappings(schema_s1, rule, mode, lam)
+        for m in mappings:
+            looked_up.clear()
+            filter_and_annotate(m, rule.antecedent, rule.consequent, schema_s1, mode, lam, canonical)
+            expected = []
+            for t_a in rule.sorted_antecedent():
+                image = m.apply_triple(t_a)
+                variants = [image] if mode == CRITICAL else lambda_variants(image, lam)
+                expected += [v for v in variants if v in canonical]
+            assert looked_up == expected
+
+
+def test_placeholder_predicates_are_dropped_exactly_when_the_sandbox_has_none(monkeypatch, schema_s1):
+    drops = []
+    real = consequence.build_lambda_rewriting
+
+    def recording(antecedent, lam, drop_lambda_predicates=False):
+        drops.append(drop_lambda_predicates)
+        return real(antecedent, lam, drop_lambda_predicates)
+
+    monkeypatch.setattr(consequence, "build_lambda_rewriting", recording)
+    rule = InferenceRule.of([Triple(var("x"), P, var("y"))], [Triple(var("y"), Q, var("x"))], name="r")
+    wildcard = TriplestoreSchema.of([Triple(var("s"), var("p"), var("o"))], {"s", "p"})
+    for schema in (schema_s1, wildcard):
+        lam = lambda_for(schema, rule)
+        list(surviving_mappings(rule.antecedent, rule.consequent, schema, SCORE, lam, build_sandbox(schema, lam)))
+    assert drops == [True, False]

@@ -23,6 +23,7 @@ from schemaforge import (
     var,
     violations,
 )
+from schemaforge import existential
 
 from conftest import (
     CARRIED_BY,
@@ -253,3 +254,31 @@ def test_rules_sharing_a_name_are_searched_separately():
         report = retained_existentials(mine_schema(), [carrier, replace(r1, name=second)])
         assert report.retained == (), second
         assert [v.via_rule for v in report.violated] == [second]
+
+
+def test_each_rule_is_renamed_once_per_dequeued_rewriting(monkeypatch):
+    # No rewriting of this chain is dominated after it is queued, so every
+    # kept rewriting is dequeued exactly once: 4 dequeues of 2 rules. One
+    # renaming per antecedent triple would make 16 calls.
+    chain = InferenceRule.of(
+        [Triple(var("x"), Q, var("y")), Triple(var("y"), Q, var("z"))],
+        [Triple(var("x"), R, var("z"))],
+        name="chain",
+    )
+    lift = InferenceRule.of([Triple(var("x"), P, var("y"))], [Triple(var("x"), Q, var("y"))], "lift")
+    renamed = []
+    real = existential._rename_apart
+
+    def counting(rule, fresh):
+        renamed.append(rule.name)
+        return real(rule, fresh)
+
+    monkeypatch.setattr(existential, "_rename_apart", counting)
+    rewritings = rewrite_antecedents(chain, [chain, lift])
+    assert sorted(sorted(t.p.lexical for t in w.antecedent) for w in rewritings) == [
+        [P.lexical, P.lexical],
+        [P.lexical, Q.lexical],
+        [P.lexical, Q.lexical],
+        [Q.lexical, Q.lexical],
+    ]
+    assert renamed == ["chain", "lift"] * len(rewritings)
