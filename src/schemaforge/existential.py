@@ -100,7 +100,7 @@ def _homomorphism_exists(src: frozenset[Triple], dst: frozenset[Triple]) -> bool
     frozen into terms (Chandra and Merlin 1977); the first binding decides.
     """
     target = Graph(dst, validate=False)
-    goals = [((t,), target) for t in sorted(src, key=Triple.sort_key)]
+    goals = [(t, target) for t in sorted(src, key=Triple.sort_key)]
     return next(_join(goals), None) is not None
 
 
@@ -239,7 +239,8 @@ def retained_existentials(
     An existential rule is examined against every inference rule whose
     sandboxed consequent its antecedent can match; candidate instances are
     shared across existential rules since their construction does not
-    depend on the rule under test.
+    depend on the rule under test, and dropped after the last existential
+    rule that can use them.
     """
     fresh = FreshNames()
     fresh.observe(schema.graph)
@@ -257,29 +258,34 @@ def retained_existentials(
     lam = choose_lambda(pool)
 
     sandbox = build_sandbox(schema, lam)
-    # Keyed by rule position: rule names need not be unique.
+    existentials = schema.sorted_existentials()
+    consequent_sandboxes = [sandbox_of_pattern(rule.consequent, lam) for rule in rules]
+    # Per existential rule, the positions of the inference rules whose
+    # sandboxed consequent its antecedent matches (rule names need not be
+    # unique).
+    triggers = []
+    for e in existentials:
+        query = build_lambda_rewriting([e.antecedent], lam, drop_lambda_predicates=False)
+        triggers.append([p for p, c in enumerate(consequent_sandboxes) if evaluate_union_query(query, c)])
+    last_use = {position: i for i, positions in enumerate(triggers) for position in positions}
     grounding_cache: dict[int, list[_Grounding]] = {}
 
     violated: list[ViolationReport] = []
-    violated_rules: set[ExistentialRule] = set()
-    for e in schema.sorted_existentials():
-        trigger_query = build_lambda_rewriting([e.antecedent], lam, drop_lambda_predicates=False)
-        for position, rule in enumerate(rules):
-            if e in violated_rules:
-                break
-            consequent_sandbox = sandbox_of_pattern(rule.consequent, lam)
-            if not evaluate_union_query(trigger_query, consequent_sandbox):
-                continue
+    for i, (e, positions) in enumerate(zip(existentials, triggers)):
+        for position in positions:
             if position not in grounding_cache:
                 grounding_cache[position] = _groundings_for_rule(
-                    rule, schema, rules, sandbox, lam, fresh, max_rewrite_depth, clock
+                    rules[position], schema, rules, sandbox, lam, fresh, max_rewrite_depth, clock
                 )
-            for grounding in grounding_cache[position]:
-                if violations([e], grounding.closed):
-                    violated.append(ViolationReport(e, grounding.witness, rule.name))
-                    violated_rules.add(e)
-                    break
-    retained = tuple(e for e in schema.sorted_existentials() if e not in violated_rules)
+            found = next((g for g in grounding_cache[position] if violations([e], g.closed)), None)
+            if found is not None:
+                violated.append(ViolationReport(e, found.witness, rules[position].name))
+                break
+        for position in positions:
+            if last_use[position] == i:
+                grounding_cache.pop(position, None)
+    violated_rules = {v.rule for v in violated}
+    retained = tuple(e for e in existentials if e not in violated_rules)
     return ExistentialReport(retained, tuple(violated))
 
 

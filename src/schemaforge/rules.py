@@ -111,7 +111,9 @@ def _rule_matches_seminaive(
     antecedent = rule.sorted_antecedent()
     found: set[Mapping] = set()
     for i in range(len(antecedent)):
-        goals = [((t,), delta if j == i else full) for j, t in enumerate(antecedent)]
+        if not delta.match(*(term if term.is_constant else None for term in antecedent[i])):
+            continue  # no delta triple fits the forced pattern
+        goals = [(t, delta if j == i else full) for j, t in enumerate(antecedent)]
         found.update(map(Mapping.of, _join(goals, clock)))
     return found
 

@@ -6,10 +6,13 @@ import gc
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schemaforge import (
+    BudgetClock,
+    BudgetExceededError,
     Graph,
     Mapping,
     Triple,
@@ -36,6 +39,7 @@ from conftest import (
     mine_instance,
     mine_rules,
 )
+from union_oracle import oracle_union_query
 
 LAM = iri("urn:lambda:0")
 PA = iri("urn:e:a")
@@ -236,6 +240,66 @@ def test_union_query_matches_enumeration_oracle(antecedent, triples, drop_preds)
     assert evaluate_union_query(query, graph) == brute_force_union(query, graph)
 
 
+# Longer antecedents than the enumeration oracle can afford, against the
+# disjunctive join the evaluator replaced. Four variable names over up to
+# four triples, with few constants, repeat variables within and across
+# triples and in predicate position; the placeholder may occur in the
+# antecedent and in every position of a graph dense enough to match.
+LONG_NAMES = ["x", "y", "z", "w"]
+
+
+def _long_terms(allow_literal: bool):
+    consts = [PA, LAM] + ([GEN_LIT] if allow_literal else [])
+    return st.sampled_from([var(n) for n in LONG_NAMES] + consts)
+
+
+long_patterns = st.builds(Triple, _long_terms(False), _long_terms(False), _long_terms(True))
+placeholder_triples = st.builds(
+    Triple,
+    st.sampled_from([PA, PB, LAM]),
+    st.sampled_from([PA, LAM]),
+    st.sampled_from([PA, PB, LAM, GEN_LIT]),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(
+    st.lists(long_patterns, min_size=0, max_size=4),
+    st.sets(placeholder_triples, max_size=8),
+    st.booleans(),
+)
+def test_union_query_matches_disjunctive_join(antecedent, triples, drop_preds):
+    query = build_lambda_rewriting(antecedent, LAM, drop_preds)
+    graph = Graph(triples, validate=False)
+    assert evaluate_union_query(query, graph) == oracle_union_query(query, graph)
+
+
+def test_union_query_needs_one_choice_keeping_every_variable():
+    # Under {x: :a, y: :c} the image (:a :p :c) holds the variant keeping
+    # only y and the one keeping only x, but no variant keeping both: a
+    # check per variable would wrongly accept it.
+    p = iri("urn:e:p")
+    graph = Graph([Triple(LAM, p, PC), Triple(PA, p, LAM)], validate=False)
+    query = build_lambda_rewriting([Triple(var("x"), p, var("y"))], LAM)
+    expected = {Mapping.of({"x": PA, "y": LAM}), Mapping.of({"x": LAM, "y": PC})}
+    assert evaluate_union_query(query, graph) == expected
+    assert oracle_union_query(query, graph) == expected
+
+
+def test_union_query_stops_on_an_expired_budget():
+    # 1600 triples give more search nodes than the clock's check interval,
+    # for one antecedent triple and for several.
+    p = iri("urn:e:p")
+    graph = Graph(
+        [Triple(iri(f"urn:e:s{i}"), p, iri(f"urn:e:o{j}")) for i in range(40) for j in range(40)]
+    )
+    x, y, z, w = var("x"), var("y"), var("z"), var("w")
+    for antecedent in ([Triple(x, p, y)], [Triple(x, p, y), Triple(z, p, w)]):
+        query = build_lambda_rewriting(antecedent, LAM)
+        with pytest.raises(BudgetExceededError):
+            evaluate_union_query(query, graph, BudgetClock(0))
+
+
 def brute_force_homomorphism(src, dst) -> bool:
     """Some assignment of src's variables to dst's terms sends src into dst."""
     names = sorted(pattern_vars(src))
@@ -271,6 +335,7 @@ def test_evaluation_leaves_no_garbage_cycles(instance_i1):
     gc.disable()
     try:
         evaluate_bgp(rules[0].antecedent, instance_i1)
+        evaluate_union_query(build_lambda_rewriting(rules[0].antecedent, LAM), instance_i1)
         closure(instance_i1, rules)
         _homomorphism_exists(src, src | frozenset(rules[1].antecedent))
         assert gc.collect() == 0

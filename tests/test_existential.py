@@ -23,7 +23,8 @@ from schemaforge import (
     var,
     violations,
 )
-from schemaforge import existential
+from schemaforge import BudgetClock, existential
+from schemaforge.generator import GeneratorConfig, generate
 
 from conftest import (
     CARRIED_BY,
@@ -282,3 +283,35 @@ def test_each_rule_is_renamed_once_per_dequeued_rewriting(monkeypatch):
         [Q.lexical, Q.lexical],
     ]
     assert renamed == ["chain", "lift"] * len(rewritings)
+
+
+def test_long_rewritings_finish_within_budget():
+    # Generator seed 3 of the fig2b shape at (100 patterns, 20 rules, 50
+    # existential rules) unfolds antecedents into rewritings of up to 19
+    # triples; a union query that reaches each mapping once per choice of
+    # placeholder variants does not finish it in minutes.
+    schema, rules = generate(GeneratorConfig(0.1, 110, 100, 100, 100, 20, 50, 3, 3))
+    report = retained_existentials(schema, rules, clock=BudgetClock(30))
+    assert len(report.retained) + len(report.violated) == len(schema.existentials)
+    for v in report.violated:
+        assert is_instance(v.witness, schema)
+        assert violations([v.rule], closure(v.witness, rules))
+
+
+def test_each_rule_is_grounded_once(monkeypatch):
+    # Groundings are released after the last existential rule they can
+    # trigger, never before: a rule grounded twice would draw other fresh
+    # IRIs and change the witnesses.
+    grounded = []
+    real = existential._groundings_for_rule
+
+    def counting(rule, *args):
+        grounded.append(rule.name)
+        return real(rule, *args)
+
+    monkeypatch.setattr(existential, "_groundings_for_rule", counting)
+    for seed in range(3):
+        grounded.clear()
+        schema, rules = generate(GeneratorConfig(0.1, 22, 20, 20, 20, 4, 10, 3, seed))
+        retained_existentials(schema, rules)
+        assert grounded and len(grounded) == len(set(grounded))
