@@ -6,8 +6,8 @@ stand-in for "all instances at once". This script builds both stand-ins for
 a small schema: the critical instance (every wildcard replaced by every
 known constant plus a placeholder, exponentially many triples) and the
 sandbox graph (every wildcard collapsed to the placeholder, one triple per
-pattern), shows the query rewriting that makes the sandbox sufficient, and
-demonstrates that both routes produce equivalent schemas while their costs
+pattern), shows how the antecedent matches the sandbox with the placeholder
+as a wildcard, and demonstrates that both routes produce equivalent schemas while their costs
 diverge quickly.
 """
 
@@ -16,15 +16,17 @@ from __future__ import annotations
 import time
 
 from schemaforge import (
+    Mapping,
+    Triple,
     basic_consequence,
     build_critical,
-    build_lambda_rewriting,
     build_sandbox,
+    evaluate_union_query,
     schema_equivalent,
     simple_schema_consequence,
 )
 from schemaforge.consequence import CRITICAL, SCORE, lambda_for
-from schemaforge.formats import serialize_schema, triple_str
+from schemaforge.formats import compact_term, serialize_schema, triple_str
 from schemaforge.generator import GeneratorConfig, generate
 
 
@@ -51,11 +53,14 @@ def main() -> None:
     print(f"critical instance: {len(critical)} triples (constants^variables blow-up)")
 
     print("\n== the placeholder rewriting evaluated over the sandbox ==")
-    query = build_lambda_rewriting(rule.antecedent, lam, drop_lambda_predicates=True)
-    for entry in query.entries:
-        print(f"  {triple_str(entry.source, {})}  becomes any of:")
-        for alt in entry.alternatives:
-            print(f"    {triple_str(alt, {})}")
+    for t in rule.sorted_antecedent():
+        print(f"  {triple_str(t, {})}  matches, the placeholder as a wildcard:")
+        for u in sorted(sandbox, key=Triple.sort_key):
+            if all(a.is_variable or b in (a, lam) for a, b in zip(t, u)):
+                print(f"    {triple_str(u, {})}")
+    print("  answers:")
+    for m in sorted(evaluate_union_query(rule.antecedent, lam, sandbox), key=Mapping.sort_key):
+        print("    " + ", ".join(f"?{name} = {compact_term(value, {})}" for name, value in m.bindings))
 
     left, _ = basic_consequence(schema, rule, SCORE)
     right, _ = basic_consequence(schema, rule, CRITICAL)

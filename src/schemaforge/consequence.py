@@ -13,14 +13,16 @@ Two canonical instances are supported:
   reserved placeholder IRI. Sound and complete, but exponentially large.
 * the sandbox graph: every schema variable is replaced by the placeholder
   alone, giving one triple per schema pattern. The antecedent is then
-  rewritten into a union query whose per-triple variants re-introduce the
-  placeholder wherever a constant of A would have matched a wildcard.
+  matched as its union query, a join in which the placeholder is a
+  wildcard (:func:`eval.evaluate_union_query`).
 
 Both routes go through one matching step, :func:`surviving_mappings`:
-evaluate, sort, and keep the mappings :func:`filter_and_annotate` passes,
-whose origins are looked up from each mapping's ground image. The
-fixpoint and the violation search both use it, and the two routes produce
-semantically equivalent output schemas.
+evaluate, sort, and keep the mappings :func:`filter_and_annotate` passes.
+The filter reads each antecedent triple's origins off its ground image
+under the mapping: the patterns the index returns for it, which in score
+mode are exactly the patterns whose sandbox triples the triple matched.
+The fixpoint and the violation search both use the step, and the two
+routes produce semantically equivalent output schemas.
 
 The full (simple) schema consequence iterates basic consequences over all
 rules to a fixpoint, normalising after every round; it terminates because
@@ -37,13 +39,7 @@ from itertools import product
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import CriticalInstanceTooLargeError
-from .eval import (
-    BudgetClock,
-    build_lambda_rewriting,
-    evaluate_bgp,
-    evaluate_union_query,
-    lambda_variants,
-)
+from .eval import BudgetClock, evaluate_bgp, evaluate_union_query
 from .rules import InferenceRule
 from .schema import TriplestoreSchema, normalize_schema, triple_instantiates
 from .terms import (
@@ -164,10 +160,7 @@ def filter_and_annotate(
     antecedent: Iterable[Triple],
     consequent: Iterable[Triple],
     schema: TriplestoreSchema,
-    mode: str,
     lam: Term,
-    canonical: Graph,
-    drop_lambda_predicates: bool = False,
 ) -> FilteredMapping | None:
     """The post-processing of one mapping; None means it is filtered out.
 
@@ -179,19 +172,18 @@ def filter_and_annotate(
     literals joins the temporary set. Finally a mapping binding any
     temporary-set variable to a literal is rejected.
 
-    The enabling patterns are the origins of the placeholder variants of
-    each antecedent triple's ground image that ``canonical`` holds. For a
-    mapping binding every antecedent variable, which is what every caller
-    in the package passes, these are exactly the images of the triple's
-    own variants.
+    The enabling patterns are the origins of each antecedent triple's
+    ground image. For a mapping binding every antecedent variable, which is
+    what every caller in the package passes, these are the patterns whose
+    canonical triples the triple matched, except for no-literal object
+    variables under a literal, which never permit one.
     """
     antecedent = sorted(antecedent, key=Triple.sort_key)
     delta_m = {term.lexical for t in (*antecedent, *consequent) for term in (t.s, t.p) if term.is_variable}
 
     for t_a in antecedent:
         image = m.apply_triple(t_a)
-        variants = (image,) if mode == CRITICAL else lambda_variants(image, lam, drop_lambda_predicates)
-        origins = {o for v in variants if v in canonical for o in find_origin_patterns(v, schema)}
+        origins = find_origin_patterns(image, schema)
 
         obj = t_a.o
         value = image.o
@@ -225,17 +217,15 @@ def surviving_mappings(
     """The one matching step, shared by the fixpoint and the violation
     search: in sorted order, the antecedent's mappings into ``canonical``
     (the schema's sandbox in score mode, matched by the union query, or a
-    critical instance) that :func:`filter_and_annotate` keeps. Placeholder
-    predicates are dropped from the union query when the sandbox has none."""
-    drop = mode == SCORE and not canonical.match(None, lam, None)
+    critical instance) that :func:`filter_and_annotate` keeps."""
     if mode == SCORE:
-        mappings = evaluate_union_query(build_lambda_rewriting(antecedent, lam, drop), canonical, clock)
+        mappings = evaluate_union_query(antecedent, lam, canonical, clock)
     else:
         mappings = evaluate_bgp(antecedent, canonical, clock)
     for m in sorted(mappings, key=Mapping.sort_key):
         if clock is not None:
             clock.check(every=64)
-        fm = filter_and_annotate(m, antecedent, consequent, schema, mode, lam, canonical, drop)
+        fm = filter_and_annotate(m, antecedent, consequent, schema, lam)
         if fm is not None:
             yield fm
 

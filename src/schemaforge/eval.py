@@ -8,25 +8,24 @@ lookups on the positions already bound, the patterns planned once per
 call, most-bound first.
 
 A union query rewrites a rule antecedent for the sandbox graph, in which
-every schema variable is collapsed to one reserved placeholder IRI: each
+every schema variable is collapsed to one reserved placeholder IRI λ: each
 triple expands into the 8 variants that substitute any subset of its
-positions with the placeholder, or 4 when the graph cannot hold the
-placeholder in predicate position. Its answers are the mappings over all
-the antecedent's variables that send one chosen variant per triple into
-the graph. A join over the choices reaches a mapping once per choice that
-produces it, a count that grows about threefold per triple, so
-:func:`evaluate_union_query` binds each variable once instead, as a
-constraint problem (Dechter, *Constraint Processing*, 2003, ch. 3). A
-variable's domain is the graph terms at the positions where some variant
-keeps it, looked up with the variables already bound. A triple is tested
-once its variables are bound, one membership probe per variant. A mapping
-is kept when one held variant per triple can be chosen so that the chosen
-variants *together* keep every variable: over ``{(λ :p :c), (:a :p λ)}``,
-``?x :p ?y`` under ``{x: :a, y: :c}`` holds ``(λ :p ?y)`` and
-``(?x :p λ)``, one keeping each variable, yet no one variant keeps both,
-so that mapping is no answer. A one-triple query has no choice to make
-jointly: the join matches each of its variants that keeps every variable,
-which costs less than laying out the search for it.
+positions with λ. Its answers are the mappings over all the antecedent's
+variables that send one chosen variant per triple into the graph while the
+chosen variants together keep every variable. :func:`evaluate_union_query`
+finds them without expanding the variants, by a join over the graph in
+which λ is a wildcard: a constant matches itself or λ, a variable binds to
+the non-λ terms at its positions, which must agree, and a variable seen
+only against λ takes λ. The answers are the same. A variant sends its
+triple onto one graph triple and keeps a variable exactly where that triple
+holds the variable's value; so a choice of variants keeps every variable
+exactly when each variable bound to a constant has it at one of its
+positions in some matched triple and every other variable is λ, which is
+what the join yields. Over ``{(λ :p :c), (:a :p λ)}``, ``?x :p ?y`` gives
+``{x: :a, y: λ}`` and ``{x: λ, y: :c}`` and not ``{x: :a, y: :c}``, which
+keeps each variable in some variant but both in none. Two partial matches
+with the same binding have the same completions, so each binding is
+extended once per depth.
 
 Graphs here are small (the sandbox has one triple per schema pattern),
 except for critical instances where the cost explosion is exactly the
@@ -37,6 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError
@@ -138,138 +138,71 @@ class UnionQuery:
     entries: tuple[UnionEntry, ...]
 
 
-def lambda_variants(
-    t: Triple, lam: Term, drop_lambda_predicates: bool = False
-) -> tuple[Triple, ...]:
+def lambda_variants(t: Triple, lam: Term) -> tuple[Triple, ...]:
     """The triple with every subset of its positions replaced by the
-    placeholder, the triple itself first.
-
-    ``drop_lambda_predicates`` applies the optimisation that is sound when
-    the target graph has no placeholder in predicate position (schemas with
-    constant predicates): variants with the placeholder as predicate can
-    never match and are omitted.
-    """
-    variants = (
-        Triple(s, p, o)
-        for s in (t.s, lam)
-        for p in (t.p, lam)
-        if not (drop_lambda_predicates and p == lam != t.p)
-        for o in (t.o, lam)
-    )
+    placeholder, the triple itself first."""
+    variants = (Triple(s, p, o) for s in (t.s, lam) for p in (t.p, lam) for o in (t.o, lam))
     return tuple(dict.fromkeys(variants))
 
 
-def build_lambda_rewriting(
-    antecedent: Iterable[Triple],
-    lam: Term,
-    drop_lambda_predicates: bool = False,
-) -> UnionQuery:
-    """Expand each triple into its placeholder variants."""
+def build_lambda_rewriting(antecedent: Iterable[Triple], lam: Term) -> UnionQuery:
+    """The union query Q^λ: each triple expanded into its placeholder
+    variants. :func:`evaluate_union_query` answers it without the
+    expansion."""
     return UnionQuery(
-        tuple(
-            UnionEntry(t, lambda_variants(t, lam, drop_lambda_predicates))
-            for t in sorted(antecedent, key=Triple.sort_key)
-        )
+        tuple(UnionEntry(t, lambda_variants(t, lam)) for t in sorted(antecedent, key=Triple.sort_key))
     )
 
 
 def evaluate_union_query(
-    query: UnionQuery,
+    antecedent: Iterable[Triple],
+    lam: Term,
     graph: Graph,
     clock: BudgetClock | None = None,
 ) -> set[Mapping]:
-    """Union over all alternative choices, one alternative per entry, of
-    the mappings binding every variable of the source antecedent: those
-    sending each chosen alternative into the graph while the chosen
-    alternatives together keep every variable. Each variable is bound once
-    (see the module notes), so each mapping is reached once."""
-    if len(query.entries) == 1:
-        (entry,) = query.entries
-        variables = {t for t in entry.source if t.is_variable}
-        full = [alt for alt in entry.alternatives if variables <= set(alt)]
-        return {Mapping.of(b) for alt in full for b in _join([(alt, graph)], clock)}
-    return set(_assign(_UnionPlan(query, graph), 0, {}, [0], clock))
+    """The answers of the antecedent's union query over the graph: the
+    join in which the placeholder is a wildcard (see the module notes)."""
+    patterns = sorted(antecedent, key=Triple.sort_key)
+    goals = [patterns[i] for i in _most_bound_first(patterns)]
+    names = {term.lexical for pattern in goals for term in pattern if term.is_variable}
+    seen: list[set[frozenset]] = [set() for _ in range(len(goals) + 1)]
+    return {
+        Mapping.of({name: binding.get(name, lam) for name in names})
+        for binding in _extend_wildcard(goals, lam, graph, 0, {}, seen, clock)
+    }
 
 
-def _maximal(masks: Iterable[int]) -> list[int]:
-    """The masks that no other mask of the collection strictly contains."""
-    distinct = set(masks)
-    return [m for m in distinct if not any(m != o and m & o == m for o in distinct)]
-
-
-class _UnionPlan:
-    """A union query laid out for :func:`_assign`. Variables are bound in
-    a fixed order, each entry's new ones in position order with the
-    entries taken most-bound first (ties in query order); variable ``k`` is
-    bit ``k`` of a mask. ``tests[d]`` holds the entries whose variables are
-    the first ``d``, each as its alternatives with the mask each keeps.
-    ``domains[k]`` pairs lookups, the unbound variables left open, with
-    variable ``k``'s positions in them. An alternative substituting a later
-    variable gives no lookup: the one keeping it finds a superset."""
-
-    __slots__ = ("graph", "variables", "tests", "domains")
-
-    def __init__(self, query: UnionQuery, graph: Graph) -> None:
-        self.graph = graph
-        sources = [entry.source for entry in query.entries]
-        order = _most_bound_first(sources)
-        self.variables = list(dict.fromkeys(t for i in order for t in sources[i] if t.is_variable))
-        index = {v: k for k, v in enumerate(self.variables)}
-
-        def mask(pattern: Triple) -> int:
-            return sum(1 << k for k in {index[t] for t in pattern if t.is_variable})
-
-        self.tests: list[list[list[tuple[Triple, int]]]] = [[] for _ in range(len(index) + 1)]
-        self.domains: list[set[tuple[tuple, tuple[int, ...]]]] = [set() for _ in index]
-        for entry in query.entries:
-            variables = mask(entry.source)
-            alternatives = [(alt, mask(alt)) for alt in entry.alternatives]
-            self.tests[variables.bit_length()].append(alternatives)
-            for alt, kept in alternatives:
-                floor = (variables ^ kept).bit_length()
-                for t in {t for t in alt if t.is_variable and index[t] >= floor}:
-                    k = index[t]
-                    lookup = tuple(None if u.is_variable and index[u] >= k else u for u in alt)
-                    self.domains[k].add((lookup, tuple(i for i, u in enumerate(alt) if u == t)))
-
-    def domain(self, k: int, binding: dict[Term, Term]) -> set[Term]:
-        """The graph terms at variable ``k``'s kept positions, looked up
-        with the variables bound so far; one term at all of them."""
-        values: set[Term] = set()
-        for lookup, (first, *rest) in self.domains[k]:
-            for t in self.graph.match(*map(binding.get, lookup, lookup)):
-                if all(t[i] == t[first] for i in rest):
-                    values.add(t[first])
-        return values
-
-    def cover(self, depth: int, binding: dict[Term, Term], covers: list[int]) -> list[int]:
-        """The variable masks that one held alternative per tested entry
-        can keep, once the entries of ``tests[depth]`` are probed. Empty
-        means that no choice succeeds."""
-        for alternatives in self.tests[depth]:
-            held = _maximal(m for alt, m in alternatives if Triple(*map(binding.get, alt, alt)) in self.graph)
-            covers = _maximal(c | h for c in covers for h in held)
-        if depth == len(self.variables):
-            return [c for c in covers if c == (1 << depth) - 1]
-        return covers
-
-
-def _assign(
-    plan: _UnionPlan, depth: int, binding: dict[Term, Term], covers: list[int], clock: BudgetClock | None
-) -> Iterator[Mapping]:
-    """The mappings extending ``binding``, which holds the first ``depth``
-    variables. A module-level generator rather than a nested function, so
-    no reference cycle keeps the graph alive after the call."""
+def _extend_wildcard(
+    goals: Sequence[Triple],
+    lam: Term,
+    graph: Graph,
+    depth: int,
+    binding: dict[str, Term],
+    seen: list[set[frozenset]],
+    clock: BudgetClock | None,
+) -> Iterator[dict[str, Term]]:
+    """The non-placeholder bindings extending ``binding`` through the
+    goals from ``depth`` on, each new one once per depth. Every known
+    position is looked up as its value and as the placeholder. A
+    module-level generator, as :func:`_extend` is."""
     if clock is not None:
         clock.check()
-    covers = plan.cover(depth, binding, covers)
-    if not covers:
+    if depth == len(goals):
+        yield binding
         return
-    if depth == len(plan.variables):
-        yield Mapping.of((v.lexical, value) for v, value in binding.items())
-        return
-    variable = plan.variables[depth]
-    for value in plan.domain(depth, binding):
-        binding[variable] = value
-        yield from _assign(plan, depth + 1, binding, covers, clock)
-    binding.pop(variable, None)
+    pattern = goals[depth]
+    known = [term if term.is_constant else binding.get(term.lexical) for term in pattern]
+    lookups = product(*((None,) if value is None else (value, lam) for value in known))
+    for lookup in dict.fromkeys(lookups):
+        for t in graph.match(*lookup):
+            new = dict(binding)
+            for term, value in zip(pattern, t):
+                if term.is_variable and value != lam:
+                    prior = new.setdefault(term.lexical, value)
+                    if prior is not value and prior != value:
+                        break
+            else:
+                key = frozenset(new.items())
+                if key not in seen[depth + 1]:
+                    seen[depth + 1].add(key)
+                    yield from _extend_wildcard(goals, lam, graph, depth + 1, new, seen, clock)

@@ -39,7 +39,7 @@ from .consequence import (
     surviving_mappings,
 )
 from .errors import RewriteDepthExceededError
-from .eval import BudgetClock, _join, build_lambda_rewriting, evaluate_union_query
+from .eval import BudgetClock, _join, evaluate_union_query
 from .rules import InferenceRule, chase_existentials, closure
 from .schema import (
     ExistentialRule,
@@ -263,10 +263,10 @@ def retained_existentials(
     # Per existential rule, the positions of the inference rules whose
     # sandboxed consequent its antecedent matches (rule names need not be
     # unique).
-    triggers = []
-    for e in existentials:
-        query = build_lambda_rewriting([e.antecedent], lam, drop_lambda_predicates=False)
-        triggers.append([p for p, c in enumerate(consequent_sandboxes) if evaluate_union_query(query, c)])
+    triggers = [
+        [p for p, c in enumerate(consequent_sandboxes) if evaluate_union_query([e.antecedent], lam, c)]
+        for e in existentials
+    ]
     last_use = {position: i for i, positions in enumerate(triggers) for position in positions}
     grounding_cache: dict[int, list[_Grounding]] = {}
 

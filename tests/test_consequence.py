@@ -21,7 +21,6 @@ from schemaforge import (
     applicable_rules,
     basic_consequence,
     build_critical,
-    build_lambda_rewriting,
     build_sandbox,
     evaluate_bgp,
     evaluate_union_query,
@@ -155,11 +154,10 @@ def test_filtering_trace_for_r2(schema_s1, rules_r1):
     r2 = rules_r1[1]
     lam = lambda_for(schema_s1, r2)
     sandbox = build_sandbox(schema_s1, lam)
-    query = build_lambda_rewriting(r2.antecedent, lam, drop_lambda_predicates=True)
-    mappings = evaluate_union_query(query, sandbox)
+    mappings = evaluate_union_query(r2.antecedent, lam, sandbox)
     assert mappings == {Mapping.of({"v1": lam, "v2": lam})}
     (m,) = mappings
-    fm = filter_and_annotate(m, r2.antecedent, r2.consequent, schema_s1, SCORE, lam, sandbox, True)
+    fm = filter_and_annotate(m, r2.antecedent, r2.consequent, schema_s1, lam)
     assert fm is not None
     assert fm.temp_no_literal == {"v1", "v2"}
 
@@ -171,11 +169,8 @@ def test_filtering_rejects_subject_literal():
         [Triple(var("w"), P, var("u"))],  # w lands in subject position
     )
     lam = lambda_for(s, rule)
-    sandbox = build_sandbox(s, lam)
     m = Mapping.of({"u": lam, "w": lit("1")})
-    # critical-mode canonical containing the literal binding
-    critical = build_critical(s, rule, lam)
-    fm = filter_and_annotate(m, rule.antecedent, rule.consequent, s, CRITICAL, lam, critical)
+    fm = filter_and_annotate(m, rule.antecedent, rule.consequent, s, lam)
     assert fm is None
 
 
@@ -198,9 +193,8 @@ def test_all_iri_rule_passes_with_seed_delta_only(schema_s1):
         [Triple(var("a"), RDF_TYPE, PERSONNEL_TAG)],
     )
     lam = lambda_for(schema_s1, rule)
-    sandbox = build_sandbox(schema_s1, lam)
     m = Mapping.of({"a": lam})
-    fm = filter_and_annotate(m, rule.antecedent, rule.consequent, schema_s1, SCORE, lam, sandbox)
+    fm = filter_and_annotate(m, rule.antecedent, rule.consequent, schema_s1, lam)
     assert fm is not None and fm.temp_no_literal == {"a"}
 
 
@@ -472,7 +466,7 @@ def per_variant_origins(t, schema):
     }
 
 
-def per_variant_filter(m, antecedent, consequent, schema, mode, lam, canonical, drop):
+def per_variant_filter(m, antecedent, consequent, schema, mode, lam, canonical):
     """filter_and_annotate with origins taken from the images of each
     antecedent triple's own placeholder variants."""
     antecedent = sorted(antecedent, key=Triple.sort_key)
@@ -487,7 +481,7 @@ def per_variant_filter(m, antecedent, consequent, schema, mode, lam, canonical, 
         if mode == CRITICAL:
             candidates = [t_a]
         else:
-            candidates = lambda_variants(t_a, lam, drop)
+            candidates = lambda_variants(t_a, lam)
         origins = set()
         for t_q in candidates:
             image = m.apply_triple(t_q)
@@ -514,10 +508,10 @@ def per_variant_filter(m, antecedent, consequent, schema, mode, lam, canonical, 
     return FilteredMapping(m, frozenset(delta_m))
 
 
-def canonical_and_mappings(schema, rule, mode, lam, drop=False):
+def canonical_and_mappings(schema, rule, mode, lam):
     if mode == SCORE:
         sandbox = build_sandbox(schema, lam)
-        return sandbox, evaluate_union_query(build_lambda_rewriting(rule.antecedent, lam, drop), sandbox)
+        return sandbox, evaluate_union_query(rule.antecedent, lam, sandbox)
     critical = build_critical(schema, rule, lam)
     return critical, evaluate_bgp(rule.antecedent, critical)
 
@@ -527,14 +521,12 @@ def canonical_and_mappings(schema, rule, mode, lam, drop=False):
 def test_ground_image_origins_match_per_variant_origins(schema, rules, mode):
     (rule,) = rules
     lam = lambda_for(schema, rule)
-    flag = all(t.p.is_constant for t in schema.graph)
-    for drop in sorted({False, flag and mode == SCORE}):
-        canonical, mappings = canonical_and_mappings(schema, rule, mode, lam, drop)
-        for m in mappings:
-            args = (m, rule.antecedent, rule.consequent, schema, mode, lam, canonical, drop)
-            assert filter_and_annotate(*args) == per_variant_filter(*args)
-        for t in canonical:
-            assert find_origin_patterns(t, schema) == per_variant_origins(t, schema)
+    canonical, mappings = canonical_and_mappings(schema, rule, mode, lam)
+    for m in mappings:
+        expected = per_variant_filter(m, rule.antecedent, rule.consequent, schema, mode, lam, canonical)
+        assert filter_and_annotate(m, rule.antecedent, rule.consequent, schema, lam) == expected
+    for t in canonical:
+        assert find_origin_patterns(t, schema) == per_variant_origins(t, schema)
 
 
 @EXAMPLES
@@ -542,12 +534,10 @@ def test_ground_image_origins_match_per_variant_origins(schema, rules, mode):
 def test_surviving_mappings_is_evaluate_sort_and_filter(schema, rules, mode):
     (rule,) = rules
     lam = lambda_for(schema, rule)
-    # The placeholder-predicate flag, read off the schema rather than the sandbox.
-    drop = mode == SCORE and all(t.p.is_constant for t in schema.graph)
-    canonical, mappings = canonical_and_mappings(schema, rule, mode, lam, drop)
+    canonical, mappings = canonical_and_mappings(schema, rule, mode, lam)
     expected = []
     for m in sorted(mappings, key=Mapping.sort_key):
-        fm = per_variant_filter(m, rule.antecedent, rule.consequent, schema, mode, lam, canonical, drop)
+        fm = per_variant_filter(m, rule.antecedent, rule.consequent, schema, mode, lam, canonical)
         if fm is not None:
             expected.append(fm)
     got = surviving_mappings(rule.antecedent, rule.consequent, schema, mode, lam, canonical)
@@ -579,7 +569,7 @@ def test_unknown_mode_raises_before_any_instance_is_built(monkeypatch, schema_s1
 
 
 @pytest.mark.parametrize("mode", [SCORE, CRITICAL])
-def test_origins_are_looked_up_once_per_held_variant_of_each_image(monkeypatch, mode, schema_s1, rules_r1):
+def test_origins_are_looked_up_once_per_antecedent_triple_on_its_image(monkeypatch, mode, schema_s1, rules_r1):
     looked_up = []
     real = consequence.find_origin_patterns
 
@@ -593,27 +583,5 @@ def test_origins_are_looked_up_once_per_held_variant_of_each_image(monkeypatch, 
         canonical, mappings = canonical_and_mappings(schema_s1, rule, mode, lam)
         for m in mappings:
             looked_up.clear()
-            filter_and_annotate(m, rule.antecedent, rule.consequent, schema_s1, mode, lam, canonical)
-            expected = []
-            for t_a in rule.sorted_antecedent():
-                image = m.apply_triple(t_a)
-                variants = [image] if mode == CRITICAL else lambda_variants(image, lam)
-                expected += [v for v in variants if v in canonical]
-            assert looked_up == expected
-
-
-def test_placeholder_predicates_are_dropped_exactly_when_the_sandbox_has_none(monkeypatch, schema_s1):
-    drops = []
-    real = consequence.build_lambda_rewriting
-
-    def recording(antecedent, lam, drop_lambda_predicates=False):
-        drops.append(drop_lambda_predicates)
-        return real(antecedent, lam, drop_lambda_predicates)
-
-    monkeypatch.setattr(consequence, "build_lambda_rewriting", recording)
-    rule = InferenceRule.of([Triple(var("x"), P, var("y"))], [Triple(var("y"), Q, var("x"))], name="r")
-    wildcard = TriplestoreSchema.of([Triple(var("s"), var("p"), var("o"))], {"s", "p"})
-    for schema in (schema_s1, wildcard):
-        lam = lambda_for(schema, rule)
-        list(surviving_mappings(rule.antecedent, rule.consequent, schema, SCORE, lam, build_sandbox(schema, lam)))
-    assert drops == [True, False]
+            filter_and_annotate(m, rule.antecedent, rule.consequent, schema_s1, lam)
+            assert looked_up == [m.apply_triple(t_a) for t_a in rule.sorted_antecedent()]

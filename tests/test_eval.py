@@ -99,33 +99,24 @@ def test_rewriting_of_ground_triple():
     assert set(entry.alternatives) == expected
 
 
-def test_predicate_optimisation_halves_the_variants():
-    q = build_lambda_rewriting([Triple(var("v3"), PA, var("v4"))], LAM, drop_lambda_predicates=True)
-    (entry,) = q.entries
-    assert len(entry.alternatives) == 4
-    assert all(alt.p == PA for alt in entry.alternatives)
-
-
 def test_union_query_binds_all_source_variables():
     # A1 = {<?v3 :a ?v4>, <?v3 :b :c>} over its own sandbox image.
     a1 = [Triple(var("v3"), PA, var("v4")), Triple(var("v3"), PB, PC)]
     sandbox = Graph([Triple(LAM, PA, LAM), Triple(LAM, PB, PC)], validate=False)
-    got = evaluate_union_query(build_lambda_rewriting(a1, LAM), sandbox)
+    got = evaluate_union_query(a1, LAM, sandbox)
     assert Mapping.of({"v3": LAM, "v4": LAM}) in got
 
 
 def test_union_query_contains_direct_matches(instance_i1):
     r1 = mine_rules()[0]
-    q = build_lambda_rewriting(r1.antecedent, LAM)
     direct = evaluate_bgp(r1.antecedent, instance_i1)
-    assert direct <= evaluate_union_query(q, instance_i1)
+    assert direct <= evaluate_union_query(r1.antecedent, LAM, instance_i1)
     # the instance is placeholder-free, so the two are equal
-    assert direct == evaluate_union_query(q, instance_i1)
+    assert direct == evaluate_union_query(r1.antecedent, LAM, instance_i1)
 
 
 def test_union_query_of_empty_antecedent():
-    q = build_lambda_rewriting([], LAM)
-    assert evaluate_union_query(q, mine_instance()) == {EMPTY_MAPPING}
+    assert evaluate_union_query([], LAM, mine_instance()) == {EMPTY_MAPPING}
 
 
 # --- enumeration oracle -----------------------------------------------------
@@ -233,15 +224,15 @@ EXAMPLES = settings(derandomize=True, database=None, max_examples=200, deadline=
 
 
 @EXAMPLES
-@given(st.lists(patterns, min_size=1, max_size=2), st.sets(ground_triples, max_size=5), st.booleans())
-def test_union_query_matches_enumeration_oracle(antecedent, triples, drop_preds):
-    query = build_lambda_rewriting(antecedent, LAM, drop_preds)
+@given(st.lists(patterns, min_size=1, max_size=2), st.sets(ground_triples, max_size=5))
+def test_union_query_matches_enumeration_oracle(antecedent, triples):
     graph = Graph(triples, validate=False)
-    assert evaluate_union_query(query, graph) == brute_force_union(query, graph)
+    expected = brute_force_union(build_lambda_rewriting(antecedent, LAM), graph)
+    assert evaluate_union_query(antecedent, LAM, graph) == expected
 
 
 # Longer antecedents than the enumeration oracle can afford, against the
-# disjunctive join the evaluator replaced. Four variable names over up to
+# disjunctive join over the placeholder variants. Four variable names over up to
 # four triples, with few constants, repeat variables within and across
 # triples and in predicate position; the placeholder may occur in the
 # antecedent and in every position of a graph dense enough to match.
@@ -266,12 +257,11 @@ placeholder_triples = st.builds(
 @given(
     st.lists(long_patterns, min_size=0, max_size=4),
     st.sets(placeholder_triples, max_size=8),
-    st.booleans(),
 )
-def test_union_query_matches_disjunctive_join(antecedent, triples, drop_preds):
-    query = build_lambda_rewriting(antecedent, LAM, drop_preds)
+def test_union_query_matches_disjunctive_join(antecedent, triples):
     graph = Graph(triples, validate=False)
-    assert evaluate_union_query(query, graph) == oracle_union_query(query, graph)
+    expected = oracle_union_query(build_lambda_rewriting(antecedent, LAM), graph)
+    assert evaluate_union_query(antecedent, LAM, graph) == expected
 
 
 def test_union_query_needs_one_choice_keeping_every_variable():
@@ -280,10 +270,36 @@ def test_union_query_needs_one_choice_keeping_every_variable():
     # check per variable would wrongly accept it.
     p = iri("urn:e:p")
     graph = Graph([Triple(LAM, p, PC), Triple(PA, p, LAM)], validate=False)
-    query = build_lambda_rewriting([Triple(var("x"), p, var("y"))], LAM)
+    antecedent = [Triple(var("x"), p, var("y"))]
     expected = {Mapping.of({"x": PA, "y": LAM}), Mapping.of({"x": LAM, "y": PC})}
-    assert evaluate_union_query(query, graph) == expected
-    assert oracle_union_query(query, graph) == expected
+    assert evaluate_union_query(antecedent, LAM, graph) == expected
+    assert oracle_union_query(build_lambda_rewriting(antecedent, LAM), graph) == expected
+
+
+class CountingGraph(Graph):
+    """A graph that counts its index lookups."""
+
+    def __init__(self, triples):
+        super().__init__(triples, validate=False)
+        self.calls = 0
+
+    def match(self, s, p, o):
+        self.calls += 1
+        return super().match(s, p, o)
+
+
+def test_union_query_extends_each_binding_once_per_depth():
+    # Each of the 16 triples matches both graph triples, so without the
+    # per-depth memo the search tree doubles at every depth; with it, two
+    # bindings ({} and {x: :a}) are extended per depth.
+    p = iri("urn:e:p")
+    graph = CountingGraph([Triple(PA, p, LAM), Triple(LAM, p, LAM)])
+    ys = [f"y{i:02d}" for i in range(16)]
+    antecedent = [Triple(var("x"), p, var(y)) for y in ys]
+    got = evaluate_union_query(antecedent, LAM, graph)
+    placeholders = {y: LAM for y in ys}
+    assert got == {Mapping.of({**placeholders, "x": PA}), Mapping.of({**placeholders, "x": LAM})}
+    assert graph.calls <= 200
 
 
 def test_union_query_stops_on_an_expired_budget():
@@ -295,9 +311,8 @@ def test_union_query_stops_on_an_expired_budget():
     )
     x, y, z, w = var("x"), var("y"), var("z"), var("w")
     for antecedent in ([Triple(x, p, y)], [Triple(x, p, y), Triple(z, p, w)]):
-        query = build_lambda_rewriting(antecedent, LAM)
         with pytest.raises(BudgetExceededError):
-            evaluate_union_query(query, graph, BudgetClock(0))
+            evaluate_union_query(antecedent, LAM, graph, BudgetClock(0))
 
 
 def brute_force_homomorphism(src, dst) -> bool:
@@ -335,7 +350,7 @@ def test_evaluation_leaves_no_garbage_cycles(instance_i1):
     gc.disable()
     try:
         evaluate_bgp(rules[0].antecedent, instance_i1)
-        evaluate_union_query(build_lambda_rewriting(rules[0].antecedent, LAM), instance_i1)
+        evaluate_union_query(rules[0].antecedent, LAM, instance_i1)
         closure(instance_i1, rules)
         _homomorphism_exists(src, src | frozenset(rules[1].antecedent))
         assert gc.collect() == 0

@@ -221,7 +221,7 @@ def test_reported_violations_match_enumeration_on_small_case():
 def test_union_query_over_ground_graph_equals_plain_evaluation(rules_r1, instance_i1):
     """The chase and final checks evaluate rewritten queries over ground,
     placeholder-free graphs, where only the identity variant can match."""
-    from schemaforge import build_lambda_rewriting, evaluate_bgp, evaluate_union_query
+    from schemaforge import evaluate_bgp, evaluate_union_query
     from schemaforge.consequence import lambda_for
     from conftest import mine_schema
 
@@ -229,10 +229,8 @@ def test_union_query_over_ground_graph_equals_plain_evaluation(rules_r1, instanc
     closed = closure(instance_i1, rules_r1)
     for rule in rules_r1:
         for antecedent in ([t] for t in rule.sorted_antecedent()):
-            query = build_lambda_rewriting(antecedent, lam)
-            assert evaluate_union_query(query, closed) == evaluate_bgp(antecedent, closed)
-        query = build_lambda_rewriting(rule.antecedent, lam)
-        assert evaluate_union_query(query, closed) == evaluate_bgp(rule.antecedent, closed)
+            assert evaluate_union_query(antecedent, lam, closed) == evaluate_bgp(antecedent, closed)
+        assert evaluate_union_query(rule.antecedent, lam, closed) == evaluate_bgp(rule.antecedent, closed)
 
 
 def test_reported_violations_match_enumeration_running_example(schema_s1, rules_r1):

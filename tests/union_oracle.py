@@ -1,5 +1,6 @@
-"""The disjunctive join that evaluated union queries before the
-one-binding-per-variable evaluator, kept as the oracle it is tested against.
+"""The disjunctive join over the placeholder variants of the union query
+Q^λ, kept as the oracle that the wildcard join of ``evaluate_union_query``
+is tested against.
 
 Each antecedent triple is a goal whose alternatives are its placeholder
 variants, and a binding sends one alternative of every goal into the
