@@ -5,7 +5,8 @@ its own graph: basic graph patterns, semi-naive closure steps (one pattern
 in the delta) and the homomorphism test of the rewriting search (over the
 target frozen into a graph). It is a left-deep nested loop with index
 lookups on the positions already bound, the patterns planned once per
-call, most-bound first.
+call, most-bound first; closure plans each rule once and runs the planned
+goals through :func:`_extend`, the join's loop.
 
 A union query rewrites a rule antecedent for the sandbox graph, in which
 every schema variable is collapsed to one reserved placeholder IRI λ: each

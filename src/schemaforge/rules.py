@@ -9,11 +9,16 @@ a fixpoint; it terminates because rules never invent constants.
 
 Closure is computed with delta-driven (semi-naive) evaluation: in each
 round, at least one antecedent triple must match a triple derived in the
-previous round. The direct-from-definition naive iteration is kept behind
-a flag as the testing oracle.
+previous round. Each rule is planned once per closure call (its sorted
+antecedent in the join's most-bound-first order, with the constant probe
+of each pattern), and the plan serves every round and every choice of the
+pattern forced into the delta. The direct-from-definition naive iteration
+is kept behind a flag as the testing oracle.
 
 The chase extends a ground graph until every existential rule is satisfied,
-inventing one fresh IRI per residual consequent variable. Given a schema it
+inventing one fresh IRI per residual consequent variable. Each step acts on
+the first unsatisfied (rule, mapping) pair, in the order
+:func:`schema.unsatisfied` yields them, that it can act on. Given a schema it
 also repairs: a witness that instantiates no schema pattern may have the
 IRIs its graph invented (the nulls) unified with the constants of a
 covering pattern, across the whole graph. Termination is only guaranteed
@@ -27,8 +32,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ChaseNonterminationError, SchemaError
-from .eval import BudgetClock, _join, evaluate_bgp
-from .schema import ExistentialRule, TriplestoreSchema, instantiates_some
+from .eval import BudgetClock, _extend, _most_bound_first, evaluate_bgp
+from .schema import ExistentialRule, TriplestoreSchema, instantiates_some, unsatisfied
 from .terms import (
     FreshNames,
     Graph,
@@ -100,21 +105,33 @@ def apply_rule(rule: InferenceRule, graph: Graph, clock: BudgetClock | None = No
     return graph.union(added)
 
 
+_Plan = list[tuple[Triple, tuple]]
+
+
+def _seminaive_plan(rule: InferenceRule) -> _Plan:
+    """The rule's antecedent in join order, each pattern with the constant
+    probe that tells whether any delta triple can fit it."""
+    antecedent = rule.sorted_antecedent()
+    return [
+        (antecedent[i], tuple(term if term.is_constant else None for term in antecedent[i]))
+        for i in _most_bound_first(antecedent)
+    ]
+
+
 def _rule_matches_seminaive(
-    rule: InferenceRule, full: Graph, delta: Graph, clock: BudgetClock | None
+    plan: _Plan, full: Graph, delta: Graph, clock: BudgetClock | None
 ) -> set[Mapping]:
-    """Matches of the antecedent using at least one delta triple.
+    """Matches of the planned antecedent using at least one delta triple.
 
     Realised as the union over which antecedent triple is forced into the
     delta; duplicates collapse in the result set.
     """
-    antecedent = rule.sorted_antecedent()
     found: set[Mapping] = set()
-    for i in range(len(antecedent)):
-        if not delta.match(*(term if term.is_constant else None for term in antecedent[i])):
+    for i, (_, probe) in enumerate(plan):
+        if not delta.match(*probe):
             continue  # no delta triple fits the forced pattern
-        goals = [(t, delta if j == i else full) for j, t in enumerate(antecedent)]
-        found.update(map(Mapping.of, _join(goals, clock)))
+        goals = [(t, delta if j == i else full) for j, (t, _) in enumerate(plan)]
+        found.update(map(Mapping.of, _extend(goals, 0, {}, clock)))
     return found
 
 
@@ -128,8 +145,9 @@ def closure(
 
     ``naive=True`` switches to the direct definition (re-evaluate every rule
     against the whole graph each round); it is the oracle the semi-naive
-    path is tested against.
+    path is tested against. Each rule is planned once per call.
     """
+    plans = [_seminaive_plan(rule) for rule in rules]
     current: set[Triple] = set(graph.triples)
     delta: set[Triple] = set(graph.triples)
     while delta:
@@ -138,11 +156,11 @@ def closure(
         full_graph = Graph(current, validate=False)
         delta_graph = Graph(delta, validate=False)
         new: set[Triple] = set()
-        for rule in rules:
+        for rule, plan in zip(rules, plans):
             if naive:
                 mappings = evaluate_bgp(rule.antecedent, full_graph, clock)
             else:
-                mappings = _rule_matches_seminaive(rule, full_graph, delta_graph, clock)
+                mappings = _rule_matches_seminaive(plan, full_graph, delta_graph, clock)
             for m in sorted(mappings, key=Mapping.sort_key):
                 instantiated = m.apply(rule.consequent)
                 if is_valid_rdf_graph(instantiated):
@@ -183,30 +201,27 @@ def _chase_step(
 ) -> frozenset[Triple] | None:
     """The triples after the first change the chase makes, or None when
     every rule is satisfied or cannot be."""
-    for rule in rules:
-        for m in sorted(evaluate_bgp([rule.antecedent], graph), key=Mapping.sort_key):
-            consequent = m.apply_triple(rule.consequent)
-            if evaluate_bgp([consequent], graph):
+    for rule, m in unsatisfied(rules, graph):
+        consequent = m.apply_triple(rule.consequent)
+        grounding = {name: fresh.fresh_iri() for name in sorted(pattern_vars([consequent]))}
+        nulls.update(grounding.values())
+        witness = Mapping.of(grounding).apply_triple(consequent)
+        if not (witness.s.is_iri and witness.p.is_iri):
+            # No valid RDF witness can exist (literal forced into the
+            # subject or predicate); the violation is left standing.
+            continue
+        extended = graph.triples | {witness}
+        if schema is None or instantiates_some(witness, schema):
+            return extended
+        for pattern in sorted(schema.graph, key=Triple.sort_key):
+            subst = _unify_with_pattern(witness, pattern, schema.no_literal, nulls)
+            if subst is None:
                 continue
-            grounding = {name: fresh.fresh_iri() for name in sorted(pattern_vars([consequent]))}
-            nulls.update(grounding.values())
-            witness = Mapping.of(grounding).apply_triple(consequent)
-            if not (witness.s.is_iri and witness.p.is_iri):
-                # No valid RDF witness can exist (literal forced into the
-                # subject or predicate); the violation is left standing.
-                continue
-            extended = graph.triples | {witness}
-            if schema is None or instantiates_some(witness, schema):
-                return extended
-            for pattern in sorted(schema.graph, key=Triple.sort_key):
-                subst = _unify_with_pattern(witness, pattern, schema.no_literal, nulls)
-                if subst is None:
-                    continue
-                rewritten = frozenset(Triple(*(subst.get(x, x) for x in t)) for t in extended)
-                if not all(t.s.is_iri and t.p.is_iri for t in rewritten):
-                    continue  # a literal constant landed in a subject
-                nulls.difference_update(subst)
-                return rewritten
+            rewritten = frozenset(Triple(*(subst.get(x, x) for x in t)) for t in extended)
+            if not all(t.s.is_iri and t.p.is_iri for t in rewritten):
+                continue  # a literal constant landed in a subject
+            nulls.difference_update(subst)
+            return rewritten
     return None
 
 

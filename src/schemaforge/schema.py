@@ -11,7 +11,12 @@ schema pattern without binding a no-literal variable to a literal, and no
 existential rule is violated. An existential rule a -> c is violated on a
 graph when some match of a has no match of the correspondingly instantiated
 c; a ground instantiated consequent counts as matched exactly when it is in
-the graph.
+the graph. Both sides are single triple patterns, so each is matched by one
+graph lookup on its constants and a check that a repeated variable meets
+one value, not by the join of conjunctions; the antecedent's lookup is
+worked out once per rule. :func:`unsatisfied` yields the failing pairs
+lazily, in rule order and then mapping order, for the violation check and
+for the chase that repairs them.
 
 Instance checks, normalisation and origin lookups ask which schema
 patterns can cover a triple. They ask a :class:`PatternIndex`, which
@@ -33,7 +38,6 @@ from itertools import product
 from typing import Iterable, Iterator
 
 from .errors import SchemaError
-from .eval import evaluate_bgp
 from .terms import (
     Graph,
     Mapping,
@@ -80,6 +84,10 @@ class ExistentialRule:
 
     def canonical(self) -> tuple:
         """Shape up to variable renaming, for set comparison and dedup."""
+        return self._canonical
+
+    @cached_property
+    def _canonical(self) -> tuple:
         names: dict[str, str] = {}
 
         def key(term: Term) -> tuple:
@@ -91,7 +99,14 @@ class ExistentialRule:
         return tuple(key(t) for t in self.antecedent) + tuple(key(t) for t in self.consequent)
 
     def sort_key(self) -> tuple:
-        return self.canonical()
+        return self._canonical
+
+    @cached_property
+    def _antecedent_probe(self) -> tuple[tuple, tuple, list[tuple[str, int]]]:
+        """The antecedent's probe and repeated positions, and its variables
+        by name, each with one position."""
+        names = {term.lexical: i for i, term in enumerate(self.antecedent) if term.is_variable}
+        return (*_probe(self.antecedent), sorted(names.items()))
 
 
 @dataclass(frozen=True)
@@ -182,19 +197,47 @@ def instantiates_some(t: Triple, schema: TriplestoreSchema) -> bool:
     return any(triple_instantiates(t, p, schema.no_literal) for p in schema.index.candidates(t))
 
 
-def violations(rules: Iterable[ExistentialRule], graph: Graph) -> frozenset[Violation]:
-    """All pairs of a rule and an antecedent match with no consequent witness.
+def _probe(pattern: Triple) -> tuple[tuple, tuple]:
+    """The pattern's constants with None at its variables, and the position
+    pairs that a repeated variable must fill alike."""
+    terms = (pattern.s, pattern.p, pattern.o)
+    probe = tuple(None if term.is_variable else term for term in terms)
+    pairs = ((0, 1), (0, 2), (1, 2))
+    return probe, tuple((i, j) for i, j in pairs if probe[i] is None and terms[i] == terms[j])
 
-    Residual variables of the instantiated consequent are evaluated as a
+
+def _pattern_matches(probe: tuple, repeats: tuple, graph: Graph) -> list[Triple]:
+    """The graph triples a pattern maps onto: one lookup on its constants,
+    then each repeated variable checked to meet one value."""
+    found = graph.match(*probe)
+    if repeats and found:
+        return [t for t in found if all(t[i] == t[j] for i, j in repeats)]
+    return found
+
+
+def unsatisfied(
+    rules: Iterable[ExistentialRule], graph: Graph
+) -> Iterator[tuple[ExistentialRule, Mapping]]:
+    """Lazily, each rule with each antecedent match that has no consequent
+    witness, in rule order and then mapping order.
+
+    Residual variables of the instantiated consequent are matched as a
     pattern, so any witness triple satisfies the rule.
     """
-    found: set[Violation] = set()
     for rule in rules:
-        for m in evaluate_bgp([rule.antecedent], graph):
-            consequent = m.apply_triple(rule.consequent)
-            if not evaluate_bgp([consequent], graph):
-                found.add(Violation(m, rule))
-    return frozenset(found)
+        probe, repeats, slots = rule._antecedent_probe
+        found = _pattern_matches(probe, repeats, graph)
+        if not found:
+            continue
+        matches = [Mapping(tuple((name, t[i]) for name, i in slots)) for t in found]
+        for m in sorted(matches, key=Mapping.sort_key):
+            if not _pattern_matches(*_probe(m.apply_triple(rule.consequent)), graph):
+                yield rule, m
+
+
+def violations(rules: Iterable[ExistentialRule], graph: Graph) -> frozenset[Violation]:
+    """All pairs of a rule and an antecedent match with no consequent witness."""
+    return frozenset(Violation(m, rule) for rule, m in unsatisfied(rules, graph))
 
 
 def is_instance(graph: Graph, schema: TriplestoreSchema) -> bool:
