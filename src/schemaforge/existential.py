@@ -219,7 +219,7 @@ def _groundings_for_rule(
             candidate = Graph(grounding.apply(partially), validate=False)
             nulls = {term for _, term in grounding.bindings}
             chased = chase_existentials(
-                candidate, schema.existentials, fresh, schema=schema, nulls=nulls
+                candidate, schema.existentials, fresh, schema=schema, nulls=nulls, clock=clock
             )
             if not is_instance(chased, schema):
                 continue

@@ -9,11 +9,12 @@ a fixpoint; it terminates because rules never invent constants.
 
 Closure is computed with delta-driven (semi-naive) evaluation: in each
 round, at least one antecedent triple must match a triple derived in the
-previous round. Each rule is planned once per closure call (its sorted
+previous round. Each rule is planned once per rule object (its sorted
 antecedent in the join's most-bound-first order, with the constant probe
-of each pattern), and the plan serves every round and every choice of the
-pattern forced into the delta. The direct-from-definition naive iteration
-is kept behind a flag as the testing oracle.
+of each pattern), and the plan, kept on the rule, serves every closure
+call, every round and every choice of the pattern forced into the delta.
+The direct-from-definition naive iteration is kept behind a flag as the
+testing oracle.
 
 The chase extends a ground graph until every existential rule is satisfied,
 inventing one fresh IRI per residual consequent variable. Each step acts on
@@ -29,6 +30,7 @@ the loop and a diagnostic error names the likely cause when it trips.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ChaseNonterminationError, SchemaError
@@ -44,6 +46,9 @@ from .terms import (
     is_valid_rdf_graph,
     pattern_vars,
 )
+
+
+_Plan = list[tuple[Triple, tuple]]
 
 
 @dataclass(frozen=True)
@@ -94,6 +99,16 @@ class InferenceRule:
             tuple(tuple(key(x) for x in t) for t in self.sorted_consequent()),
         )
 
+    @cached_property
+    def _seminaive_plan(self) -> _Plan:
+        """The antecedent in join order, each pattern with the constant
+        probe that tells whether any delta triple can fit it."""
+        antecedent = self.sorted_antecedent()
+        return [
+            (antecedent[i], tuple(term if term.is_constant else None for term in antecedent[i]))
+            for i in _most_bound_first(antecedent)
+        ]
+
 
 def apply_rule(rule: InferenceRule, graph: Graph, clock: BudgetClock | None = None) -> Graph:
     """One rule application: the graph plus every valid instantiated consequent."""
@@ -103,19 +118,6 @@ def apply_rule(rule: InferenceRule, graph: Graph, clock: BudgetClock | None = No
         if is_valid_rdf_graph(instantiated):
             added |= instantiated
     return graph.union(added)
-
-
-_Plan = list[tuple[Triple, tuple]]
-
-
-def _seminaive_plan(rule: InferenceRule) -> _Plan:
-    """The rule's antecedent in join order, each pattern with the constant
-    probe that tells whether any delta triple can fit it."""
-    antecedent = rule.sorted_antecedent()
-    return [
-        (antecedent[i], tuple(term if term.is_constant else None for term in antecedent[i]))
-        for i in _most_bound_first(antecedent)
-    ]
 
 
 def _rule_matches_seminaive(
@@ -145,9 +147,9 @@ def closure(
 
     ``naive=True`` switches to the direct definition (re-evaluate every rule
     against the whole graph each round); it is the oracle the semi-naive
-    path is tested against. Each rule is planned once per call.
+    path is tested against. Each rule is planned once per rule object, on
+    its first semi-naive use.
     """
-    plans = [_seminaive_plan(rule) for rule in rules]
     current: set[Triple] = set(graph.triples)
     delta: set[Triple] = set(graph.triples)
     while delta:
@@ -156,11 +158,11 @@ def closure(
         full_graph = Graph(current, validate=False)
         delta_graph = Graph(delta, validate=False)
         new: set[Triple] = set()
-        for rule, plan in zip(rules, plans):
+        for rule in rules:
             if naive:
                 mappings = evaluate_bgp(rule.antecedent, full_graph, clock)
             else:
-                mappings = _rule_matches_seminaive(plan, full_graph, delta_graph, clock)
+                mappings = _rule_matches_seminaive(rule._seminaive_plan, full_graph, delta_graph, clock)
             for m in sorted(mappings, key=Mapping.sort_key):
                 instantiated = m.apply(rule.consequent)
                 if is_valid_rdf_graph(instantiated):
@@ -232,6 +234,7 @@ def chase_existentials(
     max_steps: int | None = None,
     schema: TriplestoreSchema | None = None,
     nulls: set[Term] | None = None,
+    clock: BudgetClock | None = None,
 ) -> Graph:
     """Extend the graph until every existential rule is satisfied.
 
@@ -245,7 +248,8 @@ def chase_existentials(
     gates the result, so an unlucky choice costs completeness, never
     soundness. One step is one witness added or one repair applied;
     exceeding the bound (quadratic in the input size by default) raises,
-    flagging a non-weakly-acyclic rule set.
+    flagging a non-weakly-acyclic rule set. The clock is checked once per
+    step.
     """
     rule_list = sorted(rules, key=ExistentialRule.sort_key)
     if nulls is None:
@@ -255,6 +259,8 @@ def chase_existentials(
     current = graph
     steps = 0
     while (changed := _chase_step(current, rule_list, fresh, schema, nulls)) is not None:
+        if clock is not None:
+            clock.check(every=1)
         current = Graph(changed, validate=False)
         steps += 1
         if steps > max_steps:

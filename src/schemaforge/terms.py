@@ -12,6 +12,12 @@ Blank nodes are not modelled: inputs that need them use IRIs in a reserved
 namespace. Literals carry no datatype or language tag; they are compared by
 lexical form alone.
 
+Terms and triples are hashed in every join, graph index and membership
+probe, so each computes its hash once, when it is created, and keeps it in
+a slot. String hashes are salted per process, so a stored hash is only
+valid in the process that computed it: both classes pickle (and copy) by
+their fields and hash again when they are rebuilt.
+
 Everything here is immutable and safe to share. The one stateful object is
 :class:`FreshNames`, which hands out variable names and IRIs guaranteed not
 to collide with anything it has been shown; a given sequence of calls always
@@ -20,7 +26,8 @@ produces the same names, so runs are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator
 
 from .errors import SchemaError
@@ -32,7 +39,7 @@ VARIABLE = "variable"
 _KINDS = (IRI, LITERAL, VARIABLE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     """An IRI, literal or variable.
 
@@ -42,12 +49,20 @@ class Term:
 
     kind: str
     lexical: str
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise SchemaError(f"unknown term kind {self.kind!r}")
         if not self.lexical:
             raise SchemaError("term lexical form must be nonempty")
+        object.__setattr__(self, "_hash", hash((self.kind, self.lexical)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return (Term, (self.kind, self.lexical))
 
     @property
     def is_iri(self) -> bool:
@@ -98,13 +113,23 @@ RDF_NIL = iri(RDF_NS + "nil")
 BNODE_NS = "urn:bnode:"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     """A 3-tuple of terms; doubles as triple and triple pattern."""
 
     s: Term
     p: Term
     o: Term
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.s, self.p, self.o)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return (Triple, (self.s, self.p, self.o))
 
     def __iter__(self) -> Iterator[Term]:
         return iter((self.s, self.p, self.o))
@@ -202,11 +227,24 @@ def apply_substitution(subst: Mapping, patterns: Iterable[Triple]) -> frozenset[
     return subst.apply(patterns)
 
 
+def _key_getters(mask: int) -> tuple[attrgetter, itemgetter]:
+    """The key of a triple in the index for a mask of bound positions (1
+    subject, 2 predicate, 4 object), and the same key read off a probe
+    ``(s, p, o)``: a bare term for one bound position, a tuple for two."""
+    positions = [i for i in range(3) if mask >> i & 1]
+    return attrgetter(*("spo"[i] for i in positions)), itemgetter(*positions)
+
+
+# A fully bound probe is a membership test and needs no index.
+_KEY_GETTERS = {mask: _key_getters(mask) for mask in range(1, 7)}
+
+
 class Graph:
     """An immutable set of ground RDF-valid triples with positional indexes.
 
-    Indexes are built lazily on first use of the corresponding lookup shape,
-    which keeps construction cheap for graphs that are only ever iterated.
+    There is one index per mask of bound positions, built lazily on the
+    first lookup with that mask, which keeps construction cheap for graphs
+    that are only ever iterated.
     """
 
     __slots__ = ("triples", "_idx")
@@ -244,23 +282,21 @@ class Graph:
     def constants(self) -> set[Term]:
         return pattern_consts(self.triples)
 
-    def _index(self, positions: tuple[int, ...]) -> dict:
-        idx = self._idx.get(positions)
-        if idx is None:
-            idx = {}
-            for t in self.triples:
-                key = tuple(t[i] for i in positions)
-                idx.setdefault(key, []).append(t)
-            self._idx[positions] = idx
-        return idx
-
     def match(self, s: Term | None, p: Term | None, o: Term | None) -> list[Triple]:
         """All triples agreeing with the given constants (None = wildcard)."""
-        bound = tuple(i for i, term in enumerate((s, p, o)) if term is not None)
-        if not bound:
+        mask = (s is not None) | (p is not None) << 1 | (o is not None) << 2
+        if mask == 7:
+            t = Triple(s, p, o)
+            return [t] if t in self.triples else []
+        if not mask:
             return list(self.triples)
-        key = tuple(term for term in (s, p, o) if term is not None)
-        return self._index(bound).get(key, [])
+        index_key, probe_key = _KEY_GETTERS[mask]
+        index = self._idx.get(mask)
+        if index is None:
+            index = self._idx[mask] = {}
+            for t in self.triples:
+                index.setdefault(index_key(t), []).append(t)
+        return index.get(probe_key((s, p, o)), [])
 
     def union(self, triples: Iterable[Triple]) -> "Graph":
         return Graph(self.triples | frozenset(triples), validate=False)

@@ -115,3 +115,27 @@ def rules_r1() -> list[InferenceRule]:
 @pytest.fixture
 def instance_i1() -> Graph:
     return mine_instance()
+
+
+def cyclic_chase_problem() -> tuple[TriplestoreSchema, list[InferenceRule]]:
+    """A schema whose chase cannot terminate, and a rule that reaches it.
+
+    The existential rule ``?x :p ?y => ?y :p ?z`` extends any ``:p`` chain
+    forever, and grounding the rule ``{?a :p ?b} => {?a :q ?b}`` for the
+    existential rule on ``:q`` starts such a chain. Eight acyclic filler
+    rules raise the chase's step bound to 1440, so the chase runs for many
+    seconds before that bound trips.
+    """
+    ns = "urn:cyc:"
+    p, q, r = iri(ns + "p"), iri(ns + "q"), iri(ns + "r")
+    fillers = [iri(f"{ns}e{i}") for i in range(8)]
+    x, y, z = var("x"), var("y"), var("z")
+    patterns = [Triple(var(f"s{i}"), pred, var(f"o{i}")) for i, pred in enumerate([p, q, r, *fillers])]
+    existentials = [
+        ExistentialRule(Triple(x, p, y), Triple(y, p, z)),
+        ExistentialRule(Triple(x, q, y), Triple(x, r, z)),
+        *(ExistentialRule(Triple(x, e, y), Triple(y, e, x)) for e in fillers),
+    ]
+    no_literal = [t.s.lexical for t in patterns] + [t.o.lexical for t in patterns]
+    rules = [InferenceRule.of([Triple(var("a"), p, var("b"))], [Triple(var("a"), q, var("b"))], "lift")]
+    return TriplestoreSchema.of(patterns, no_literal, existentials), rules

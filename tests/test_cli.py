@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from schemaforge.cli import main
-from schemaforge.formats import parse_graph, parse_schema
+from schemaforge.formats import parse_graph, parse_schema, serialize_rules, serialize_schema
+
+from conftest import cyclic_chase_problem
 
 DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
@@ -159,6 +161,18 @@ def test_exit_codes(tmp_path, capsys):
     )
     assert main(["shacl2schema", "-i", str(bad_shapes)]) == 4
     assert main(["consequence", "-s", SCHEMA, "-r", RULES, "--budget", "0.0001"]) == 3
+
+
+def test_budget_bounds_the_existential_chase(tmp_path, capsys):
+    schema, rules = cyclic_chase_problem()
+    schema_path, rules_path = tmp_path / "cyclic.schema", tmp_path / "cyclic.rq"
+    schema_path.write_text(serialize_schema(schema))
+    rules_path.write_text(serialize_rules(rules))
+    args = ["consequence", "--existential", "-s", str(schema_path), "-r", str(rules_path)]
+    assert main([*args, "--budget", "1"]) == 3
+    # The chase's step bound also exits 3, many seconds later; the message
+    # tells the spent budget apart.
+    assert "wall-clock budget exceeded" in capsys.readouterr().err
 
 
 def test_duplicate_rule_names_exit_2(tmp_path, capsys):

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import replace
 
+import pytest
+
 from schemaforge import (
+    ChaseNonterminationError,
     ExistentialRule,
     Graph,
     InferenceRule,
@@ -23,7 +27,7 @@ from schemaforge import (
     var,
     violations,
 )
-from schemaforge import BudgetClock, existential
+from schemaforge import BudgetClock, BudgetExceededError, existential
 from schemaforge.generator import GeneratorConfig, generate
 
 from conftest import (
@@ -36,6 +40,7 @@ from conftest import (
     PERSONNEL_TAG,
     RDF_TYPE,
     TAG_ID,
+    cyclic_chase_problem,
     mine_rules,
     mine_schema,
 )
@@ -294,6 +299,18 @@ def test_long_rewritings_finish_within_budget():
     for v in report.violated:
         assert is_instance(v.witness, schema)
         assert violations([v.rule], closure(v.witness, rules))
+
+
+def test_budget_bounds_the_chase():
+    # Without a clock the chase runs to its step bound (1440 steps, each
+    # rebuilding the graph) for many seconds and then reports
+    # nontermination instead of the spent budget.
+    schema, rules = cyclic_chase_problem()
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as raised:
+        retained_existentials(schema, rules, clock=BudgetClock(1.0))
+    assert time.perf_counter() - start < 3.0
+    assert not isinstance(raised.value, ChaseNonterminationError)
 
 
 def test_each_rule_is_grounded_once(monkeypatch):

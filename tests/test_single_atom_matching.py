@@ -7,7 +7,7 @@ join-based versions kept in ``chase_oracle.py``: the violation sets, the
 order in which the chase meets them, and every chase step, by its result,
 the nulls it leaves and the next fresh IRI it would draw. They also guard
 the work saved: a chase step makes no join, and closure plans each rule
-once per call.
+once, however often it is called.
 """
 
 from __future__ import annotations
@@ -309,3 +309,18 @@ def test_closure_plans_each_rule_once_per_call(monkeypatch):
     assert len(calls) == len(rules)
     assert Triple(chain[5], Q, chain[0]) in closed
     assert closed == closure(graph, rules, naive=True)
+
+
+def test_closure_keeps_each_rule_plan_across_calls(monkeypatch):
+    calls: list = []
+    wrapper = counting(calls, eval_module._most_bound_first)
+    monkeypatch.setattr(eval_module, "_most_bound_first", wrapper)
+    monkeypatch.setattr(rules_module, "_most_bound_first", wrapper, raising=False)
+    rules = [
+        InferenceRule.of([Triple(X, P, Y), Triple(Y, P, Z)], [Triple(X, P, Z)], "transitive"),
+        InferenceRule.of([Triple(X, P, Y)], [Triple(Y, Q, X)], "inverse"),
+    ]
+    first = closure(Graph([Triple(A, P, B), Triple(B, P, C)]), rules)
+    second = closure(Graph([Triple(C, P, A)]), rules)
+    assert len(calls) == len(rules)
+    assert Triple(A, P, C) in first and Triple(A, Q, C) in second
