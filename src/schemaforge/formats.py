@@ -16,11 +16,28 @@ prefix map.
   ``NOLIT { ?v ... }`` and ``EXISTS { pattern => pattern ; ... }``.
 * shape documents: a Turtle subset with blank nodes (``[ ... ]``) and RDF
   lists (``( ... )``), both lowered to IRIs in reserved namespaces.
+
+Where a statement can begin (at the start, or after '.', '{', a comment or
+another statement), the tokenizer first tries one regular expression for a
+one-line ground statement ``term term term .`` and, on a match, emits a
+single statement token in place of the four it stands for; every other
+input is read character by character. A parser that meets a statement
+token where a statement is not expected splits it into those four tokens,
+so results and error messages are the same either way. Data graphs are
+almost all such statements; rules and schema patterns, which hold
+variables, almost never are.
+
+One parse builds one :class:`Term` per distinct IRI, literal and variable,
+shared by every triple it occurs in. Equality stays by value, so terms
+from different parses, or built by hand, still compare and hash alike.
+The serialisers compact each distinct term once per call.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import ParseError
 from .rules import InferenceRule
@@ -53,6 +70,23 @@ _PUNCT = {
     "]": "RBRACKET",
 }
 
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+# A one-line ground statement ``term term term .``. Subject and predicate
+# are an IRI or a name, the object may also be a literal. A name is what the
+# character path reads as a prefixed name or bare word: a run of word
+# characters and ``_-:.`` that neither begins nor ends with '.'; the
+# lookahead stops a shorter name from matching inside a longer one. Empty
+# IRIs and literals are left to the character path, which reports them.
+_IRI = r"<([^>\n]+)>"
+_NAME = r"([\w:-](?:[\w:.-]*[\w:-])?)(?!\.*[\w:-])"
+_LITERAL = r'"((?:[^"\\\n]|\\.)+)"'
+_GAP = r"[^\S\n]*"
+_STATEMENT = re.compile(
+    rf"(?:{_IRI}|{_NAME}){_GAP}(?:{_IRI}|{_NAME}){_GAP}(?:{_IRI}|{_NAME}|{_LITERAL}){_GAP}\."
+)
+
 
 @dataclass(frozen=True)
 class Token:
@@ -61,9 +95,48 @@ class Token:
     line: int
 
 
+@dataclass(frozen=True)
+class StatementToken(Token):
+    """A one-line ground statement, type ``STMT``: it stands for the tokens
+    of its three terms and the closing '.', all on its line. ``groups`` are
+    the :data:`_STATEMENT` match groups: IRI or name for subject and
+    predicate, IRI, name or literal for the object, unused ones None.
+    ``value`` is the subject token's value, so a message about the token
+    names what the character path would have found there."""
+
+    groups: tuple[str | None, ...]
+
+    def parts(self) -> list[Token]:
+        """The tokens the character path makes of the statement."""
+        s_iri, s_name, p_iri, p_name, o_iri, o_name, o_lit = self.groups
+        line = self.line
+        return [
+            _term_token(s_iri, s_name, None, line),
+            _term_token(p_iri, p_name, None, line),
+            _term_token(o_iri, o_name, o_lit, line),
+            Token("DOT", ".", line),
+        ]
+
+
+def _term_token(iri_text: str | None, name: str | None, literal: str | None, line: int) -> Token:
+    if iri_text is not None:
+        return Token("IRIREF", iri_text, line)
+    if name is not None:
+        return Token("PNAME" if ":" in name else "WORD", name, line)
+    return Token("STRING", _unescape(literal), line)
+
+
+def _unescape(raw: str) -> str:
+    if "\\" not in raw:
+        return raw
+    return _ESCAPE.sub(lambda m: _ESCAPES.get(m[1], m[1]), raw)
+
+
 def tokenize(text: str, source: str = "<string>") -> list[Token]:
     tokens: list[Token] = []
     i, n, line = 0, len(text), 1
+    statement_may_begin = True  # at the start, after '.', '{', a comment or a statement
+    match_statement = _STATEMENT.match
     while i < n:
         c = text[i]
         if c == "\n":
@@ -73,6 +146,14 @@ def tokenize(text: str, source: str = "<string>") -> list[Token]:
         if c.isspace():
             i += 1
             continue
+        if statement_may_begin and (c == "<" or c.isalnum() or c in "_-:"):
+            m = match_statement(text, i)
+            if m is not None:
+                groups = m.groups()
+                tokens.append(StatementToken("STMT", groups[0] or groups[1], line, groups))
+                i = m.end()
+                continue
+        statement_may_begin = c in ".{#"
         if c == "#":
             j = i
             while i < n and text[i] != "\n":
@@ -92,6 +173,7 @@ def tokenize(text: str, source: str = "<string>") -> list[Token]:
             if j < 0:
                 raise ParseError("unterminated IRI", source, line)
             tokens.append(Token("IRIREF", text[i + 1 : j], line))
+            line += text.count("\n", i + 1, j)
             i = j + 1
             continue
         if c == '"':
@@ -104,7 +186,9 @@ def tokenize(text: str, source: str = "<string>") -> list[Token]:
                     if i >= n:
                         break
                     esc = text[i]
-                    out.append({"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}.get(esc, esc))
+                    if esc == "\n":
+                        line += 1
+                    out.append(_ESCAPES.get(esc, esc))
                 else:
                     if ch == "\n":
                         line += 1
@@ -152,9 +236,16 @@ def tokenize(text: str, source: str = "<string>") -> list[Token]:
 
 # --- statement parser --------------------------------------------------------
 
+# Terms the parser builds itself; seeded into every parse's IRI table.
+_BUILT_IN = (RDF_TYPE, RDF_FIRST, RDF_REST, RDF_NIL)
+
 
 @dataclass
 class _Parser:
+    """Parses a token list. Each distinct IRI, literal and variable of one
+    parse becomes one :class:`Term` object, shared by every triple it occurs
+    in; names are resolved once per prefix map."""
+
     tokens: list[Token]
     source: str
     prefixes: dict[str, str] = field(default_factory=dict)
@@ -163,15 +254,28 @@ class _Parser:
     pos: int = 0
     extra_triples: list[Triple] = field(default_factory=list)
     _bnode_counter: int = 0
+    _iris: dict[str, Term] = field(default_factory=lambda: {t.lexical: t for t in _BUILT_IN})
+    _literals: dict[str, Term] = field(default_factory=dict)
+    _variables: dict[str, Term] = field(default_factory=dict)
+    _names: dict[str, Term] = field(default_factory=dict)  # emptied when a prefix is declared
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
+        if tok.typ == "STMT":
+            tok = self.split_statement()
         if tok.typ != "EOF":
             self.pos += 1
         return tok
+
+    def split_statement(self) -> Token:
+        """Replace the statement token at the cursor by its parts, for a
+        caller that reads it token by token; returns the first part."""
+        tok = self.tokens[self.pos]
+        self.tokens[self.pos : self.pos + 1] = tok.parts()
+        return self.tokens[self.pos]
 
     def error(self, message: str, token: Token | None = None) -> ParseError:
         tok = token or self.peek()
@@ -189,6 +293,8 @@ class _Parser:
 
     def at_keyword(self, word: str) -> bool:
         tok = self.peek()
+        if tok.typ == "STMT" and tok.value == word:
+            tok = self.split_statement()
         return tok.typ == "WORD" and tok.value == word
 
     def parse_prefix_decl(self) -> None:
@@ -199,39 +305,62 @@ class _Parser:
         iri_tok = self.expect("IRIREF", "namespace IRI")
         self.expect("DOT", "'.'")
         self.prefixes[name_tok.value[:-1]] = iri_tok.value
+        self._names.clear()
 
-    def expand_pname(self, tok: Token) -> Term:
-        prefix, _, local = tok.value.partition(":")
-        if prefix not in self.prefixes:
-            raise self.error(f"unknown prefix {prefix + ':'!r}", tok)
-        return iri(self.prefixes[prefix] + local)
+    def iri(self, lexical: str) -> Term:
+        term = self._iris.get(lexical)
+        if term is None:
+            term = self._iris[lexical] = iri(lexical)
+        return term
+
+    def literal(self, lexical: str) -> Term:
+        term = self._literals.get(lexical)
+        if term is None:
+            term = self._literals[lexical] = lit(lexical)
+        return term
+
+    def name(self, tok: Token, name: str) -> Term:
+        """A prefixed name or bare word read from ``tok``."""
+        term = self._names.get(name)
+        if term is not None:
+            return term
+        if ":" in name:
+            prefix, _, local = name.partition(":")
+            if prefix not in self.prefixes:
+                raise self.error(f"unknown prefix {prefix + ':'!r}", tok)
+            term = self.iri(self.prefixes[prefix] + local)
+        elif name == "a":
+            term = RDF_TYPE
+        elif name in ("true", "false") or name.isdigit():
+            term = self.literal(name)
+        else:
+            raise self.error(f"unexpected word {name!r}", tok)
+        self._names[name] = term
+        return term
 
     def fresh_bnode(self) -> Term:
         self._bnode_counter += 1
-        return iri(f"{BNODE_NS}{self._bnode_counter}")
+        return self.iri(f"{BNODE_NS}{self._bnode_counter}")
 
     def parse_term(self) -> Term:
         tok = self.next()
         if tok.typ == "IRIREF":
             if not tok.value:
                 raise self.error("empty IRI", tok)
-            return iri(tok.value)
-        if tok.typ == "PNAME":
-            return self.expand_pname(tok)
+            return self.iri(tok.value)
+        if tok.typ in ("PNAME", "WORD"):
+            return self.name(tok, tok.value)
         if tok.typ == "STRING":
             if not tok.value:
                 raise self.error("empty literal", tok)
-            return lit(tok.value)
+            return self.literal(tok.value)
         if tok.typ == "VAR":
             if not self.allow_vars:
                 raise self.error("variables are not allowed here", tok)
-            return var(tok.value)
-        if tok.typ == "WORD":
-            if tok.value == "a":
-                return RDF_TYPE
-            if tok.value in ("true", "false") or tok.value.isdigit():
-                return lit(tok.value)
-            raise self.error(f"unexpected word {tok.value!r}", tok)
+            term = self._variables.get(tok.value)
+            if term is None:
+                term = self._variables[tok.value] = var(tok.value)
+            return term
         if tok.typ == "LBRACKET":
             if not self.allow_bnodes:
                 raise self.error("blank nodes are not allowed here", tok)
@@ -249,6 +378,20 @@ class _Parser:
             self.next()  # RPAREN
             return self.make_list(items)
         raise self.error(f"expected a term, found {tok.value!r}", tok)
+
+    def statement_triple(self, tok: StatementToken) -> Triple:
+        """The triple of a statement token; its terms resolve, and fail, as
+        :meth:`parse_term` resolves them one by one."""
+        s_iri, s_name, p_iri, p_name, o_iri, o_name, o_lit = tok.groups
+        s = self.iri(s_iri) if s_iri is not None else self.name(tok, s_name)
+        p = self.iri(p_iri) if p_iri is not None else self.name(tok, p_name)
+        if o_iri is not None:
+            o = self.iri(o_iri)
+        elif o_name is not None:
+            o = self.name(tok, o_name)
+        else:
+            o = self.literal(_unescape(o_lit))
+        return Triple(s, p, o)
 
     def make_list(self, items: list[Term]) -> Term:
         head: Term = RDF_NIL
@@ -277,6 +420,10 @@ class _Parser:
             return
 
     def parse_statement(self) -> list[Triple]:
+        tok = self.peek()
+        if tok.typ == "STMT":
+            self.pos += 1
+            return [self.statement_triple(tok)]
         before = len(self.extra_triples)
         subject = self.parse_term()
         self.parse_predicate_object_list(subject)
@@ -291,9 +438,14 @@ class _Parser:
         triples: list[Triple] = []
         while True:
             self.skip_comments()
-            if self.peek().typ == "RBRACE":
+            tok = self.peek()
+            if tok.typ == "RBRACE":
                 self.next()
                 return triples
+            if tok.typ == "STMT":
+                self.pos += 1
+                triples.append(self.statement_triple(tok))
+                continue
             before = len(self.extra_triples)
             subject = self.parse_term()
             self.parse_predicate_object_list(subject)
@@ -436,10 +588,11 @@ def serialize_turtle(graph: Graph, prefixes: dict[str, str] | None = None) -> st
     """Subject-grouped serialisation. Blank-node and list structures stay in
     their lowered IRI form, which round-trips through :func:`parse_turtle`."""
     prefixes = prefixes or {}
+    write = _term_writer(prefixes)
     lines = _prefix_header(prefixes)
     grouped: dict[str, list[Triple]] = {}
     for t in graph.sorted_triples():
-        grouped.setdefault(compact_term(t.s, prefixes), []).append(t)
+        grouped.setdefault(write(t.s), []).append(t)
     for subject_str in sorted(grouped):
         if lines:
             lines.append("")
@@ -447,9 +600,7 @@ def serialize_turtle(graph: Graph, prefixes: dict[str, str] | None = None) -> st
         for k, t in enumerate(entries):
             head = subject_str if k == 0 else " " * len(subject_str)
             tail = " ;" if k + 1 < len(entries) else " ."
-            lines.append(
-                f"{head} {compact_term(t.p, prefixes)} {compact_term(t.o, prefixes)}{tail}"
-            )
+            lines.append(f"{head} {write(t.p)} {write(t.o)}{tail}")
     return "\n".join(lines) + "\n"
 
 
@@ -484,8 +635,26 @@ def compact_term(term: Term, prefixes: dict[str, str]) -> str:
     return f"<{term.lexical}>"
 
 
+def _term_writer(prefixes: dict[str, str]) -> Callable[[Term], str]:
+    """:func:`compact_term` against ``prefixes``, computed once per distinct
+    term: a serialiser writes the same few names many times over."""
+    written: dict[Term, str] = {}
+
+    def write(term: Term) -> str:
+        text = written.get(term)
+        if text is None:
+            text = written[term] = compact_term(term, prefixes)
+        return text
+
+    return write
+
+
 def triple_str(t: Triple, prefixes: dict[str, str]) -> str:
-    return " ".join(compact_term(term, prefixes) for term in t)
+    return _triple_str(t, _term_writer(prefixes))
+
+
+def _triple_str(t: Triple, write: Callable[[Term], str]) -> str:
+    return f"{write(t.s)} {write(t.p)} {write(t.o)}"
 
 
 def _prefix_header(prefixes: dict[str, str]) -> list[str]:
@@ -494,16 +663,18 @@ def _prefix_header(prefixes: dict[str, str]) -> list[str]:
 
 def serialize_graph(graph: Graph, prefixes: dict[str, str] | None = None) -> str:
     prefixes = prefixes or {}
+    write = _term_writer(prefixes)
     lines = _prefix_header(prefixes)
     if lines:
         lines.append("")
     for t in graph.sorted_triples():
-        lines.append(f"{triple_str(t, prefixes)} .")
+        lines.append(f"{_triple_str(t, write)} .")
     return "\n".join(lines) + "\n"
 
 
 def serialize_rules(rules: list[InferenceRule], prefixes: dict[str, str] | None = None) -> str:
     prefixes = prefixes or {}
+    write = _term_writer(prefixes)
     lines = _prefix_header(prefixes)
     for rule in rules:
         if lines:
@@ -511,28 +682,29 @@ def serialize_rules(rules: list[InferenceRule], prefixes: dict[str, str] | None 
         lines.append(f"# name: {rule.name}")
         lines.append("CONSTRUCT {")
         for t in rule.sorted_consequent():
-            lines.append(f"  {triple_str(t, prefixes)} .")
+            lines.append(f"  {_triple_str(t, write)} .")
         lines.append("} WHERE {")
         for t in rule.sorted_antecedent():
-            lines.append(f"  {triple_str(t, prefixes)} .")
+            lines.append(f"  {_triple_str(t, write)} .")
         lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def serialize_schema(schema: TriplestoreSchema, prefixes: dict[str, str] | None = None) -> str:
     prefixes = prefixes or {}
+    write = _term_writer(prefixes)
     lines = _prefix_header(prefixes)
     if lines:
         lines.append("")
     lines.append("GRAPH {")
     for t in schema.sorted_patterns():
-        lines.append(f"  {triple_str(t, prefixes)} .")
+        lines.append(f"  {_triple_str(t, write)} .")
     lines.append("}")
     lines.append("NOLIT { " + " ".join(f"?{name}" for name in sorted(schema.no_literal)) + " }")
     lines.append("EXISTS {")
     for e in schema.sorted_existentials():
         lines.append(
-            f"  {triple_str(e.antecedent, prefixes)} => {triple_str(e.consequent, prefixes)} ;"
+            f"  {_triple_str(e.antecedent, write)} => {_triple_str(e.consequent, write)} ;"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
