@@ -65,23 +65,20 @@ def choose_lambda(*const_sources: Iterable[Term]) -> Term:
 
 
 def lambda_for(schema: TriplestoreSchema, *rules: InferenceRule) -> Term:
-    sources = [schema.constants()]
-    for r in rules:
-        sources.append(pattern_consts(r.antecedent) | pattern_consts(r.consequent))
-    return choose_lambda(*sources)
+    """The placeholder absent from the schema, existential rules included, and the rules."""
+    return choose_lambda(
+        schema.constants(),
+        pattern_consts(t for e in schema.existentials for t in (e.antecedent, e.consequent)),
+        *(pattern_consts(r.antecedent | r.consequent) for r in rules),
+    )
 
 
 def build_sandbox(schema: TriplestoreSchema, lam: Term | None = None) -> Graph:
     """One triple per schema pattern, every variable collapsed to the placeholder."""
     if lam is None:
         lam = choose_lambda(schema.constants())
-    return sandbox_of_pattern(schema.graph, lam)
-
-
-def sandbox_of_pattern(patterns: Iterable[Triple], lam: Term) -> Graph:
-    """Sandbox of an arbitrary graph pattern (used for trigger checks)."""
     return Graph(
-        (Triple(*(lam if term.is_variable else term for term in t)) for t in patterns),
+        (Triple(*(lam if term.is_variable else term for term in t)) for t in schema.graph),
         validate=False,
     )
 
@@ -266,7 +263,6 @@ def basic_consequence(
     mode: str = SCORE,
     lam: Term | None = None,
     fresh: FreshNames | None = None,
-    triple_budget: int = 10**7,
     clock: BudgetClock | None = None,
 ) -> tuple[TriplestoreSchema, bool]:
     """One rule's schema consequence; the flag reports applicability.
@@ -283,16 +279,11 @@ def basic_consequence(
     if lam is None:
         lam = lambda_for(schema, rule)
     if fresh is None:
-        fresh = FreshNames()
-        fresh.observe(schema.graph)
-        fresh.observe(rule.antecedent)
-        fresh.observe(rule.consequent)
+        fresh = FreshNames.of(schema.graph, rule.antecedent | rule.consequent)
     sandbox = build_sandbox(schema, lam) if mode == SCORE else None
     patterns = set(schema.graph)
     no_literal = set(schema.no_literal)
-    applicable = _fire_rule(
-        schema, rule, mode, lam, sandbox, patterns, no_literal, fresh, triple_budget, clock
-    )
+    applicable = _fire_rule(schema, rule, mode, lam, sandbox, patterns, no_literal, fresh, clock)
     return TriplestoreSchema.of(patterns, no_literal), applicable
 
 
@@ -305,7 +296,6 @@ def _fire_rule(
     patterns: set[Triple],
     no_literal: set[str],
     fresh: FreshNames,
-    triple_budget: int,
     clock: BudgetClock | None,
 ) -> bool:
     """Fire one rule over the given sandbox (score mode) or the rule's own
@@ -314,7 +304,7 @@ def _fire_rule(
     if mode == SCORE:
         canonical = sandbox
     elif mode == CRITICAL:
-        canonical = build_critical(schema, rule, lam, triple_budget, clock)
+        canonical = build_critical(schema, rule, lam, clock=clock)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     applicable = False
@@ -339,17 +329,12 @@ def simple_schema_consequence_report(
     schema: TriplestoreSchema,
     rules: Sequence[InferenceRule],
     mode: str = SCORE,
-    triple_budget: int = 10**7,
     clock: BudgetClock | None = None,
 ) -> ConsequenceResult:
     """Fixpoint of basic consequences over all rules, with normalisation
     per round, in score mode over one sandbox per round; also reports
     which rules ever fired."""
-    fresh = FreshNames()
-    fresh.observe(schema.graph)
-    for r in rules:
-        fresh.observe(r.antecedent)
-        fresh.observe(r.consequent)
+    fresh = FreshNames.of(schema.graph, *(r.antecedent | r.consequent for r in rules))
     lam = lambda_for(schema, *rules)
 
     current = normalize_schema(schema.graph_part())
@@ -363,9 +348,7 @@ def simple_schema_consequence_report(
         no_literal = set(current.no_literal)
         sandbox = build_sandbox(current, lam) if mode == SCORE else None
         for i, rule in enumerate(rules):
-            if _fire_rule(
-                current, rule, mode, lam, sandbox, patterns, no_literal, fresh, triple_budget, clock
-            ):
+            if _fire_rule(current, rule, mode, lam, sandbox, patterns, no_literal, fresh, clock):
                 fired.add(i)
         del sandbox  # with its indexes, so it is not held through normalisation
         merged = normalize_schema(TriplestoreSchema.of(patterns, no_literal))
@@ -381,10 +364,9 @@ def simple_schema_consequence(
     schema: TriplestoreSchema,
     rules: Sequence[InferenceRule],
     mode: str = SCORE,
-    triple_budget: int = 10**7,
     clock: BudgetClock | None = None,
 ) -> TriplestoreSchema:
-    return simple_schema_consequence_report(schema, rules, mode, triple_budget, clock).schema
+    return simple_schema_consequence_report(schema, rules, mode, clock).schema
 
 
 def applicable_rules(

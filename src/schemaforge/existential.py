@@ -2,13 +2,15 @@
 
 An existential rule of the input schema is violated when some instance of
 the schema, closed under the inference rules, matches the rule's antecedent
-without a witness for its consequent. The search works backwards: for every
-inference rule whose consequent could produce a match of the existential
-antecedent, every rewriting of that rule's antecedent (obtained by
-repeatedly unfolding antecedent triples through other rules' consequents)
-is matched against the schema's sandbox graph through the fixpoint's own
-matching step, :func:`consequence.surviving_mappings`. Each surviving match is
-grounded into a small candidate instance, completed with the package's one
+without a witness for its consequent. The search works backwards with one
+most-general unifier, :func:`_mgu`, over rules renamed apart. An inference
+rule triggers an existential rule when one of its consequent triples
+unifies with the existential antecedent; every rewriting of the triggering
+rule's antecedent (obtained by repeatedly unfolding antecedent triples
+through unifiable consequent triples) is matched against the schema's
+sandbox graph through the fixpoint's own matching step,
+:func:`consequence.surviving_mappings`. Each surviving match is grounded
+into a small candidate instance, completed with the package's one
 chase (:func:`rules.chase_existentials`, given the schema so that it
 repairs) so it satisfies all existential rules, closed under the inference
 rules, and tested for a violation. The IRIs a grounding invents stay
@@ -18,8 +20,8 @@ with that constant rather than giving the grounding up. Groundings whose
 completion still fails to be an instance of the schema are discarded; they
 witness nothing about the schema's instances.
 
-Rewriting uses most-general unifiers with homomorphism subsumption pruning,
-which keeps the rewriting set finite on recursive rule sets; a depth bound
+Rewriting prunes by homomorphism subsumption, which keeps the rewriting
+set finite on recursive rule sets; the depth bound ``MAX_REWRITE_DEPTH``
 backs the pruning up. The homomorphism test is the package's one join,
 ``eval._join``, over the target rewriting frozen into a graph.
 """
@@ -32,14 +34,13 @@ from typing import Sequence
 from .consequence import (
     SCORE,
     build_sandbox,
-    choose_lambda,
     filter_and_annotate,  # not called here: perfbench's tracer test reads the name in this module
-    sandbox_of_pattern,
+    lambda_for,
     simple_schema_consequence,
     surviving_mappings,
 )
 from .errors import RewriteDepthExceededError
-from .eval import BudgetClock, _join, evaluate_union_query
+from .eval import BudgetClock, _join
 from .rules import InferenceRule, chase_existentials, closure
 from .schema import (
     ExistentialRule,
@@ -53,9 +54,10 @@ from .terms import (
     Mapping,
     Term,
     Triple,
-    pattern_consts,
     pattern_vars,
 )
+
+MAX_REWRITE_DEPTH = 16
 
 
 @dataclass(frozen=True)
@@ -63,11 +65,7 @@ class Rewriting:
     """An unfolded antecedent that can produce the original one via the rules."""
 
     antecedent: frozenset[Triple]
-    source_rule: str
     depth: int
-
-    def sort_key(self) -> tuple:
-        return (self.depth, tuple(t.sort_key() for t in sorted(self.antecedent, key=Triple.sort_key)))
 
 
 def _mgu(t1: Triple, t2: Triple) -> Mapping | None:
@@ -104,22 +102,35 @@ def _homomorphism_exists(src: frozenset[Triple], dst: frozenset[Triple]) -> bool
     return next(_join(goals), None) is not None
 
 
-def _rename_apart(rule: InferenceRule, fresh: FreshNames) -> InferenceRule:
+def _rename_apart(rule: InferenceRule, fresh: FreshNames) -> tuple[frozenset[Triple], list[Triple]]:
+    """The rule's antecedent and sorted consequent, every variable renamed
+    to a fresh one."""
     renaming = Mapping.of(
         {name: fresh.fresh_var("r") for name in sorted(pattern_vars(rule.antecedent | rule.consequent))}
     )
-    return InferenceRule(
-        frozenset(renaming.apply(rule.antecedent)),
-        frozenset(renaming.apply(rule.consequent)),
-        rule.name,
-    )
+    return renaming.apply(rule.antecedent), sorted(renaming.apply(rule.consequent), key=Triple.sort_key)
+
+
+def _triggers(
+    existentials: Sequence[ExistentialRule], rules: Sequence[InferenceRule]
+) -> list[list[int]]:
+    """Per existential rule, the positions of the inference rules with a
+    consequent triple its antecedent unifies with. The rules are renamed
+    apart by a registry of their own, so the search's names are not drawn;
+    consequent triples never repeat a variable, so this is the union query
+    of the antecedent over the consequent's sandbox."""
+    apart = FreshNames.of([e.antecedent for e in existentials])
+    consequents = [_rename_apart(rule, apart)[1] for rule in rules]
+    return [
+        [p for p, c in enumerate(consequents) if any(_mgu(e.antecedent, t) is not None for t in c)]
+        for e in existentials
+    ]
 
 
 def rewrite_antecedents(
     rule: InferenceRule,
     rules: Sequence[InferenceRule],
     fresh: FreshNames | None = None,
-    max_depth: int = 16,
 ) -> list[Rewriting]:
     """The rule's antecedent plus every minimal backward unfolding.
 
@@ -130,34 +141,27 @@ def rewrite_antecedents(
     rule sets terminate.
     """
     if fresh is None:
-        fresh = FreshNames()
-        for r in rules:
-            fresh.observe(r.antecedent)
-            fresh.observe(r.consequent)
-        fresh.observe(rule.antecedent)
-        fresh.observe(rule.consequent)
+        fresh = FreshNames.of(*(r.antecedent | r.consequent for r in (*rules, rule)))
 
-    start = Rewriting(frozenset(rule.antecedent), rule.name, 0)
+    start = Rewriting(frozenset(rule.antecedent), 0)
     kept: list[Rewriting] = [start]
     queue: list[Rewriting] = [start]
     while queue:
         current = queue.pop(0)
-        if current.depth >= max_depth:
+        if current.depth >= MAX_REWRITE_DEPTH:
             raise RewriteDepthExceededError(
-                f"antecedent rewriting of rule {rule.name or '?'} exceeded depth {max_depth}"
+                f"antecedent rewriting of rule {rule.name or '?'} exceeded depth {MAX_REWRITE_DEPTH}"
             )
         # One renaming per rule keeps every candidate of this rewriting apart.
         renamings = [_rename_apart(other, fresh) for other in rules]
         for t in sorted(current.antecedent, key=Triple.sort_key):
-            for renamed in renamings:
-                for t_c in renamed.sorted_consequent():
+            for antecedent, consequent in renamings:
+                for t_c in consequent:
                     theta = _mgu(t, t_c)
                     if theta is None:
                         continue
-                    new_antecedent = frozenset(
-                        theta.apply(current.antecedent - {t}) | theta.apply(renamed.antecedent)
-                    )
-                    candidate = Rewriting(new_antecedent, rule.name, current.depth + 1)
+                    new_antecedent = theta.apply(current.antecedent - {t}) | theta.apply(antecedent)
+                    candidate = Rewriting(new_antecedent, current.depth + 1)
                     if any(_homomorphism_exists(k.antecedent, candidate.antecedent) for k in kept):
                         continue
                     dominated = [
@@ -205,11 +209,10 @@ def _groundings_for_rule(
     sandbox: Graph,
     lam: Term,
     fresh: FreshNames,
-    max_rewrite_depth: int,
     clock: BudgetClock | None,
 ) -> list[_Grounding]:
     out: list[_Grounding] = []
-    for rewriting in rewrite_antecedents(rule, list(rules), fresh, max_rewrite_depth):
+    for rewriting in rewrite_antecedents(rule, list(rules), fresh):
         for fm in surviving_mappings(rewriting.antecedent, (), schema, SCORE, lam, sandbox, clock):
             kept = Mapping.of({k: v for k, v in fm.mapping.bindings if v != lam})
             partially = kept.apply(rewriting.antecedent)
@@ -231,42 +234,25 @@ def _groundings_for_rule(
 def retained_existentials(
     schema: TriplestoreSchema,
     rules: Sequence[InferenceRule],
-    max_rewrite_depth: int = 16,
     clock: BudgetClock | None = None,
 ) -> ExistentialReport:
     """Split the schema's existential rules into retained and violable.
 
-    An existential rule is examined against every inference rule whose
-    sandboxed consequent its antecedent can match; candidate instances are
+    An existential rule is examined against every inference rule with a
+    consequent triple its antecedent unifies with; candidate instances are
     shared across existential rules since their construction does not
     depend on the rule under test, and dropped after the last existential
     rule that can use them.
     """
-    fresh = FreshNames()
-    fresh.observe(schema.graph)
-    for e in schema.existentials:
-        fresh.observe([e.antecedent, e.consequent])
-    for r in rules:
-        fresh.observe(r.antecedent)
-        fresh.observe(r.consequent)
-
-    pool = schema.constants()
-    for e in schema.existentials:
-        pool |= pattern_consts([e.antecedent, e.consequent])
-    for r in rules:
-        pool |= pattern_consts(r.antecedent | r.consequent)
-    lam = choose_lambda(pool)
-
-    sandbox = build_sandbox(schema, lam)
     existentials = schema.sorted_existentials()
-    consequent_sandboxes = [sandbox_of_pattern(rule.consequent, lam) for rule in rules]
-    # Per existential rule, the positions of the inference rules whose
-    # sandboxed consequent its antecedent matches (rule names need not be
-    # unique).
-    triggers = [
-        [p for p, c in enumerate(consequent_sandboxes) if evaluate_union_query([e.antecedent], lam, c)]
-        for e in existentials
-    ]
+    fresh = FreshNames.of(
+        schema.graph,
+        [t for e in existentials for t in (e.antecedent, e.consequent)],
+        *(r.antecedent | r.consequent for r in rules),
+    )
+    lam = lambda_for(schema, *rules)
+    sandbox = build_sandbox(schema, lam)
+    triggers = _triggers(existentials, rules)  # rule names need not be unique
     last_use = {position: i for i, positions in enumerate(triggers) for position in positions}
     grounding_cache: dict[int, list[_Grounding]] = {}
 
@@ -275,7 +261,7 @@ def retained_existentials(
         for position in positions:
             if position not in grounding_cache:
                 grounding_cache[position] = _groundings_for_rule(
-                    rules[position], schema, rules, sandbox, lam, fresh, max_rewrite_depth, clock
+                    rules[position], schema, rules, sandbox, lam, fresh, clock
                 )
             found = next((g for g in grounding_cache[position] if violations([e], g.closed)), None)
             if found is not None:
@@ -293,12 +279,10 @@ def existential_schema_consequence(
     schema: TriplestoreSchema,
     rules: Sequence[InferenceRule],
     mode: str = SCORE,
-    triple_budget: int = 10**7,
-    max_rewrite_depth: int = 16,
     clock: BudgetClock | None = None,
 ) -> TriplestoreSchema:
     """Graph and no-literal parts of the simple consequence, existential
     part restricted to the rules no closure can violate."""
-    simple = simple_schema_consequence(schema, rules, mode, triple_budget, clock)
-    report = retained_existentials(schema, rules, max_rewrite_depth, clock)
+    simple = simple_schema_consequence(schema, rules, mode, clock)
+    report = retained_existentials(schema, rules, clock)
     return replace(simple, existentials=frozenset(report.retained))

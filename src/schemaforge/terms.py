@@ -138,7 +138,8 @@ class Triple:
         return (self.s, self.p, self.o)[i]
 
     def sort_key(self) -> tuple:
-        return (self.s.sort_key(), self.p.sort_key(), self.o.sort_key())
+        s, p, o = self.s, self.p, self.o
+        return (s.kind, s.lexical, p.kind, p.lexical, o.kind, o.lexical)
 
     def __repr__(self) -> str:
         return f"({self.s!r} {self.p!r} {self.o!r})"
@@ -317,6 +318,14 @@ class FreshNames:
         self._seen_iris: set[str] = set()
         self._var_counter = 0
         self._iri_counter = 0
+
+    @classmethod
+    def of(cls, *pattern_groups: Iterable[Triple]) -> "FreshNames":
+        """A registry that has observed every group of patterns."""
+        fresh = cls()
+        for patterns in pattern_groups:
+            fresh.observe(patterns)
+        return fresh
 
     def observe_term(self, term: Term) -> None:
         if term.is_variable:

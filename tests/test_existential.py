@@ -27,8 +27,10 @@ from schemaforge import (
     var,
     violations,
 )
-from schemaforge import BudgetClock, BudgetExceededError, existential
+from schemaforge import BudgetClock, BudgetExceededError, RewriteDepthExceededError, existential
+from schemaforge.consequence import lambda_for
 from schemaforge.generator import GeneratorConfig, generate
+from schemaforge.terms import pattern_vars
 
 from conftest import (
     CARRIED_BY,
@@ -44,6 +46,7 @@ from conftest import (
     mine_rules,
     mine_schema,
 )
+from test_violation_fuzz import random_case
 
 A = iri("urn:x:a")
 B = iri("urn:x:b")
@@ -330,3 +333,51 @@ def test_each_rule_is_grounded_once(monkeypatch):
         schema, rules = generate(GeneratorConfig(0.1, 22, 20, 20, 20, 4, 10, 3, seed))
         retained_existentials(schema, rules)
         assert grounded and len(grounded) == len(set(grounded))
+
+
+def test_rewriting_stops_at_the_depth_bound():
+    # Subsumption pruning does not end the rewriting of fuzz case 69's
+    # rules; the depth bound does, with an error naming the rule.
+    assert existential.MAX_REWRITE_DEPTH == 16
+    schema, rules = random_case(69)
+    with pytest.raises(RewriteDepthExceededError, match="rule r0 exceeded depth 16$"):
+        retained_existentials(schema, rules)
+
+
+def test_report_does_not_depend_on_a_placeholder_named_constant():
+    # The existential rules name the placeholder the search would pick
+    # first; the search must pick another and report as it does when the
+    # constant has any other name.
+    s, t, p = iri("urn:x:s"), iri("urn:x:t"), iri("urn:x:p")
+    x, y = var("x"), var("y")
+    rule = InferenceRule.of([Triple(x, s, y)], [Triple(x, p, y)], "lift")
+
+    def problem(c):
+        patterns = [Triple(var(f"a{i}"), q, var(f"b{i}")) for i, q in enumerate((s, p, t))]
+        existentials = [
+            ExistentialRule(Triple(x, s, y), Triple(x, t, c)),  # holds in every witness
+            ExistentialRule(Triple(x, p, y), Triple(y, t, c)),  # violable via lift
+            ExistentialRule(Triple(x, p, y), Triple(x, t, c)),  # retained
+        ]
+        return TriplestoreSchema.of(patterns, pattern_vars(patterns), existentials)
+
+    def renamed(report, old, new):
+        def term(u):
+            return new if u == old else u
+
+        def rule_of(e):
+            return ExistentialRule(Triple(*map(term, e.antecedent)), Triple(*map(term, e.consequent)))
+
+        violated = {
+            (rule_of(v.rule), frozenset(Triple(*map(term, u)) for u in v.witness.triples), v.via_rule)
+            for v in report.violated
+        }
+        return {rule_of(e) for e in report.retained}, violated
+
+    placeholder, other = iri("urn:lambda:0"), iri("urn:x:c")
+    clashing = problem(placeholder)
+    assert lambda_for(clashing, rule) != placeholder
+    report = retained_existentials(clashing, [rule])
+    expected = retained_existentials(problem(other), [rule])
+    assert len(report.retained) == len(report.violated) + 1 == 2
+    assert renamed(report, placeholder, other) == renamed(expected, other, other)

@@ -10,14 +10,19 @@ so a choice that substitutes away a variable's last occurrence is dropped.
 It reaches the same total mapping through every combination of variants
 that produces it, which is why it is too slow for long antecedents, but it
 is a direct transcription of the union query's meaning.
+
+It also keeps the trigger check the violation search used before it
+unified: an existential rule is triggered by an inference rule when the
+existential antecedent's union query has an answer over the sandbox of the
+rule's consequent (every consequent variable collapsed to the placeholder).
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from schemaforge import Graph, Mapping, Triple
-from schemaforge.eval import BudgetClock, UnionQuery
+from schemaforge import ExistentialRule, Graph, InferenceRule, Mapping, Triple
+from schemaforge.eval import BudgetClock, UnionQuery, evaluate_union_query
 from schemaforge.terms import Term
 
 Goal = tuple[Sequence[Triple], Graph]
@@ -79,3 +84,18 @@ def oracle_union_query(
     the mappings binding every variable of the source antecedent."""
     goals = [(entry.alternatives, graph) for entry in query.entries]
     return set(map(Mapping.of, _extend(_Plan(goals), 0, {}, clock)))
+
+
+def oracle_triggers(
+    existentials: Sequence[ExistentialRule], rules: Sequence[InferenceRule], lam: Term
+) -> list[list[int]]:
+    """Per existential rule, the positions of the inference rules whose
+    sandboxed consequent its antecedent's union query matches."""
+    sandboxes = [
+        Graph([Triple(*(lam if t.is_variable else t for t in c)) for c in rule.consequent], validate=False)
+        for rule in rules
+    ]
+    return [
+        [p for p, graph in enumerate(sandboxes) if evaluate_union_query([e.antecedent], lam, graph)]
+        for e in existentials
+    ]
