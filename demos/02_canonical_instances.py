@@ -60,7 +60,7 @@ def main() -> None:
                 print(f"    {triple_str(u, {})}")
     print("  answers:")
     for m in sorted(evaluate_union_query(rule.antecedent, lam, sandbox), key=Mapping.sort_key):
-        print("    " + ", ".join(f"?{name} = {compact_term(value, {})}" for name, value in m.bindings))
+        print("    " + ", ".join(f"?{name} = {compact_term(value, {})}" for name, value in m))
 
     left, _ = basic_consequence(schema, rule, SCORE)
     right, _ = basic_consequence(schema, rule, CRITICAL)

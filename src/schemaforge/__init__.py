@@ -65,13 +65,10 @@ from .terms import (
     Mapping,
     Term,
     Triple,
-    apply_substitution,
-    fresh_term,
     iri,
     is_valid_rdf_graph,
     lit,
     var,
-    vars_and_consts,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

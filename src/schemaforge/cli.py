@@ -25,7 +25,7 @@ from .bench import run_benchmark, write_csv
 from .consequence import simple_schema_consequence
 from .errors import BudgetExceededError, ParseError, SchemaforgeError, UnsupportedShaclError
 from .eval import BudgetClock
-from .existential import retained_existentials
+from .existential import existential_schema_consequence
 from .formats import (
     triple_str,
     parse_graph,
@@ -35,7 +35,7 @@ from .formats import (
     serialize_schema,
 )
 from .rules import closure
-from .schema import TriplestoreSchema, is_instance
+from .schema import is_instance
 from .shacl import ShapeDocument, schema_to_shacl, shacl_to_schema
 
 EXIT_OK = 0
@@ -89,10 +89,8 @@ def _cmd_consequence(args: argparse.Namespace) -> int:
     rules, rule_prefixes = _load_rules(args.rules)
     prefixes = _merge(schema_prefixes, rule_prefixes)
     clock = BudgetClock(args.budget)
-    simple = simple_schema_consequence(schema, rules, mode=args.algo, clock=clock)
     if args.existential:
-        report = retained_existentials(schema, rules, clock=clock)
-        out = TriplestoreSchema(simple.graph, simple.no_literal, frozenset(report.retained))
+        out, report = existential_schema_consequence(schema, rules, mode=args.algo, clock=clock)
         _write_output(serialize_schema(out, prefixes), args.output)
         print(f"existential rules violated: {len(report.violated)}")
         for violation in report.violated:
@@ -105,6 +103,7 @@ def _cmd_consequence(args: argparse.Namespace) -> int:
                 if line.strip():
                     print(f"    {line}")
     else:
+        simple = simple_schema_consequence(schema, rules, mode=args.algo, clock=clock)
         _write_output(serialize_schema(simple, prefixes), args.output)
     return EXIT_OK
 

@@ -214,13 +214,13 @@ def _groundings_for_rule(
     out: list[_Grounding] = []
     for rewriting in rewrite_antecedents(rule, list(rules), fresh):
         for fm in surviving_mappings(rewriting.antecedent, (), schema, SCORE, lam, sandbox, clock):
-            kept = Mapping.of({k: v for k, v in fm.mapping.bindings if v != lam})
+            kept = Mapping.of({k: v for k, v in fm.mapping if v != lam})
             partially = kept.apply(rewriting.antecedent)
             grounding = Mapping.of(
                 {name: fresh.fresh_iri() for name in sorted(pattern_vars(partially))}
             )
             candidate = Graph(grounding.apply(partially), validate=False)
-            nulls = {term for _, term in grounding.bindings}
+            nulls = {term for _, term in grounding}
             chased = chase_existentials(
                 candidate, schema.existentials, fresh, schema=schema, nulls=nulls, clock=clock
             )
@@ -280,9 +280,10 @@ def existential_schema_consequence(
     rules: Sequence[InferenceRule],
     mode: str = SCORE,
     clock: BudgetClock | None = None,
-) -> TriplestoreSchema:
+) -> tuple[TriplestoreSchema, ExistentialReport]:
     """Graph and no-literal parts of the simple consequence, existential
-    part restricted to the rules no closure can violate."""
+    part restricted to the rules no closure can violate; returned with the
+    report that splits the existential rules into retained and violated."""
     simple = simple_schema_consequence(schema, rules, mode, clock)
     report = retained_existentials(schema, rules, clock)
-    return replace(simple, existentials=frozenset(report.retained))
+    return replace(simple, existentials=frozenset(report.retained)), report

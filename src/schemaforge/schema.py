@@ -200,10 +200,9 @@ def instantiates_some(t: Triple, schema: TriplestoreSchema) -> bool:
 def _probe(pattern: Triple) -> tuple[tuple, tuple]:
     """The pattern's constants with None at its variables, and the position
     pairs that a repeated variable must fill alike."""
-    terms = (pattern.s, pattern.p, pattern.o)
-    probe = tuple(None if term.is_variable else term for term in terms)
+    probe = tuple(None if term.is_variable else term for term in pattern)
     pairs = ((0, 1), (0, 2), (1, 2))
-    return probe, tuple((i, j) for i, j in pairs if probe[i] is None and terms[i] == terms[j])
+    return probe, tuple((i, j) for i, j in pairs if probe[i] is None and pattern[i] == pattern[j])
 
 
 def _pattern_matches(probe: tuple, repeats: tuple, graph: Graph) -> list[Triple]:

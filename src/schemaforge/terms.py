@@ -12,11 +12,8 @@ Blank nodes are not modelled: inputs that need them use IRIs in a reserved
 namespace. Literals carry no datatype or language tag; they are compared by
 lexical form alone.
 
-Terms and triples are hashed in every join, graph index and membership
-probe, so each computes its hash once, when it is created, and keeps it in
-a slot. String hashes are salted per process, so a stored hash is only
-valid in the process that computed it: both classes pickle (and copy) by
-their fields and hash again when they are rebuilt.
+Terms, triples and mappings are tuples, so they hash, compare, unpack and
+pickle as tuples do.
 
 Everything here is immutable and safe to share. The one stateful object is
 :class:`FreshNames`, which hands out variable names and IRIs guaranteed not
@@ -26,9 +23,8 @@ produces the same names, so runs are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import SchemaError
 
@@ -39,30 +35,26 @@ VARIABLE = "variable"
 _KINDS = (IRI, LITERAL, VARIABLE)
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
-    """An IRI, literal or variable.
+class Term(tuple):
+    """An IRI, literal or variable: the pair ``(kind, lexical)``.
 
     ``lexical`` holds the absolute IRI string, the literal's lexical form
     (without quotes) or the variable name (without the ``?`` sigil).
     """
 
-    kind: str
-    lexical: str
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ()
+    kind = property(itemgetter(0))
+    lexical = property(itemgetter(1))
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise SchemaError(f"unknown term kind {self.kind!r}")
-        if not self.lexical:
+    def __new__(cls, kind: str, lexical: str) -> Term:
+        if kind not in _KINDS:
+            raise SchemaError(f"unknown term kind {kind!r}")
+        if not lexical:
             raise SchemaError("term lexical form must be nonempty")
-        object.__setattr__(self, "_hash", hash((self.kind, self.lexical)))
+        return tuple.__new__(cls, (kind, lexical))
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self) -> tuple:
-        return (Term, (self.kind, self.lexical))
+    def __getnewargs__(self) -> tuple[str, str]:
+        return tuple(self)
 
     @property
     def is_iri(self) -> bool:
@@ -113,32 +105,15 @@ RDF_NIL = iri(RDF_NS + "nil")
 BNODE_NS = "urn:bnode:"
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
+class Triple(NamedTuple):
     """A 3-tuple of terms; doubles as triple and triple pattern."""
 
     s: Term
     p: Term
     o: Term
-    _hash: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.s, self.p, self.o)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self) -> tuple:
-        return (Triple, (self.s, self.p, self.o))
-
-    def __iter__(self) -> Iterator[Term]:
-        return iter((self.s, self.p, self.o))
-
-    def __getitem__(self, i: int) -> Term:
-        return (self.s, self.p, self.o)[i]
 
     def sort_key(self) -> tuple:
-        s, p, o = self.s, self.p, self.o
+        s, p, o = self
         return (s.kind, s.lexical, p.kind, p.lexical, o.kind, o.lexical)
 
     def __repr__(self) -> str:
@@ -167,30 +142,24 @@ def pattern_consts(patterns: Iterable[Triple]) -> set[Term]:
     return {term for t in patterns for term in t if term.is_constant}
 
 
-def vars_and_consts(patterns: Iterable[Triple]) -> tuple[set[str], set[Term]]:
-    """The variable names and the constants occurring in a pattern."""
-    ps = list(patterns)
-    return pattern_vars(ps), pattern_consts(ps)
-
-
-@dataclass(frozen=True)
-class Mapping:
-    """A partial function from variable names to terms.
+class Mapping(tuple):
+    """A partial function from variable names to terms: the tuple of its
+    ``(name, term)`` pairs.
 
     Doubles as the result of pattern evaluation (all targets constant) and
-    as a general substitution (targets may be variables). Bindings are kept
+    as a general substitution (targets may be variables). Pairs are kept
     sorted by variable name so iteration and repr are deterministic.
     """
 
-    bindings: tuple[tuple[str, Term], ...] = ()
+    __slots__ = ()
 
     @staticmethod
     def of(items: dict[str, Term] | Iterable[tuple[str, Term]]) -> Mapping:
         pairs = items.items() if isinstance(items, dict) else items
-        return Mapping(tuple(sorted(pairs)))
+        return Mapping(sorted(pairs))
 
     def get(self, name: str) -> Term | None:
-        for k, v in self.bindings:
+        for k, v in self:
             if k == name:
                 return v
         return None
@@ -206,38 +175,28 @@ class Mapping:
         return Triple(self.apply_term(t.s), self.apply_term(t.p), self.apply_term(t.o))
 
     def apply(self, patterns: Iterable[Triple]) -> frozenset[Triple]:
+        """Replace every bound variable occurrence; unbound variables stay.
+        The result may hold invalid triples (a literal substituted into a
+        subject); check with :func:`is_valid_rdf_graph` where it matters."""
         return frozenset(self.apply_triple(t) for t in patterns)
 
     def sort_key(self) -> tuple:
-        return tuple((k, v.sort_key()) for k, v in self.bindings)
+        return tuple((k, v.sort_key()) for k, v in self)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"?{k}->{v!r}" for k, v in self.bindings)
+        inner = ", ".join(f"?{k}->{v!r}" for k, v in self)
         return "{" + inner + "}"
 
 
-EMPTY_MAPPING = Mapping()
-
-
-def apply_substitution(subst: Mapping, patterns: Iterable[Triple]) -> frozenset[Triple]:
-    """Replace every bound variable occurrence; unbound variables stay.
-
-    The result may violate triple validity (e.g. a literal substituted into
-    a subject); validate with :func:`is_valid_rdf_graph` where it matters.
-    """
-    return subst.apply(patterns)
-
-
-def _key_getters(mask: int) -> tuple[attrgetter, itemgetter]:
-    """The key of a triple in the index for a mask of bound positions (1
-    subject, 2 predicate, 4 object), and the same key read off a probe
-    ``(s, p, o)``: a bare term for one bound position, a tuple for two."""
-    positions = [i for i in range(3) if mask >> i & 1]
-    return attrgetter(*("spo"[i] for i in positions)), itemgetter(*positions)
+def _key_getter(mask: int) -> itemgetter:
+    """The key of a triple, or of a probe ``(s, p, o)``, in the index for a
+    mask of bound positions (1 subject, 2 predicate, 4 object): a bare term
+    for one bound position, a tuple for two."""
+    return itemgetter(*(i for i in range(3) if mask >> i & 1))
 
 
 # A fully bound probe is a membership test and needs no index.
-_KEY_GETTERS = {mask: _key_getters(mask) for mask in range(1, 7)}
+_KEY_GETTERS = {mask: _key_getter(mask) for mask in range(1, 7)}
 
 
 class Graph:
@@ -291,13 +250,13 @@ class Graph:
             return [t] if t in self.triples else []
         if not mask:
             return list(self.triples)
-        index_key, probe_key = _KEY_GETTERS[mask]
+        key = _KEY_GETTERS[mask]
         index = self._idx.get(mask)
         if index is None:
             index = self._idx[mask] = {}
             for t in self.triples:
-                index.setdefault(index_key(t), []).append(t)
-        return index.get(probe_key((s, p, o)), [])
+                index.setdefault(key(t), []).append(t)
+        return index.get(key((s, p, o)), [])
 
     def union(self, triples: Iterable[Triple]) -> "Graph":
         return Graph(self.triples | frozenset(triples), validate=False)
@@ -354,11 +313,3 @@ class FreshNames:
                 self._seen_iris.add(name)
                 return iri(name)
 
-
-def fresh_term(kind: str, registry: FreshNames) -> Term:
-    """A term of the requested kind guaranteed distinct from all seen names."""
-    if kind == VARIABLE:
-        return registry.fresh_var()
-    if kind == IRI:
-        return registry.fresh_iri()
-    raise SchemaError(f"cannot generate fresh terms of kind {kind!r}")

@@ -25,7 +25,7 @@ from schemaforge import (
     var,
 )
 from schemaforge.existential import _homomorphism_exists
-from schemaforge.terms import EMPTY_MAPPING, pattern_vars
+from schemaforge.terms import pattern_vars
 
 from conftest import (
     O1,
@@ -58,7 +58,7 @@ def test_rule_antecedent_over_instance(instance_i1):
 
 def test_ground_pattern_contained_yields_empty_mapping(instance_i1):
     got = evaluate_bgp([Triple(WID1, RDF_TYPE, PERSONNEL_TAG)], instance_i1)
-    assert got == {EMPTY_MAPPING}
+    assert got == {Mapping()}
 
 
 def test_unmatched_predicate_yields_no_mappings(instance_i1):
@@ -66,7 +66,7 @@ def test_unmatched_predicate_yields_no_mappings(instance_i1):
 
 
 def test_empty_pattern_yields_empty_mapping(instance_i1):
-    assert evaluate_bgp([], instance_i1) == {EMPTY_MAPPING}
+    assert evaluate_bgp([], instance_i1) == {Mapping()}
 
 
 def test_repeated_variable_within_pattern():
@@ -116,7 +116,7 @@ def test_union_query_contains_direct_matches(instance_i1):
 
 
 def test_union_query_of_empty_antecedent():
-    assert evaluate_union_query([], LAM, mine_instance()) == {EMPTY_MAPPING}
+    assert evaluate_union_query([], LAM, mine_instance()) == {Mapping()}
 
 
 # --- enumeration oracle -----------------------------------------------------

@@ -177,19 +177,20 @@ def test_violated_when_chase_cannot_help():
 
 
 def test_existential_consequence_running_example(schema_s1, rules_r1):
-    out = existential_schema_consequence(schema_s1, rules_r1)
+    out, report = existential_schema_consequence(schema_s1, rules_r1)
     assert out.existentials == frozenset()
+    assert report == retained_existentials(schema_s1, rules_r1)
     simple = simple_schema_consequence(schema_s1, rules_r1)
     assert out.graph == simple.graph and out.no_literal == simple.no_literal
 
 
 def test_existential_consequence_trivia(schema_s1):
-    out = existential_schema_consequence(schema_s1, [])
+    out, _ = existential_schema_consequence(schema_s1, [])
     assert schema_equivalent(out, schema_s1)
 
 
 def test_retained_subset_of_input(schema_s1, rules_r1):
-    out = existential_schema_consequence(schema_s1, rules_r1)
+    out, _ = existential_schema_consequence(schema_s1, rules_r1)
     assert out.existentials <= schema_s1.existentials
 
 

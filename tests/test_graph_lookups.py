@@ -2,10 +2,10 @@
 
 ``Graph.match`` answers each probe shape (which of subject, predicate and
 object are bound) from its own lazily built index, so every shape is
-compared here with a brute-force filter over the graph. Terms and triples
-hash once, when they are created; the hash contract is checked within a
-process, through copying and pickling, and across two processes whose
-string hashes are salted differently.
+compared here with a brute-force filter over the graph. Terms, triples and
+mappings are tuples; the hash contract is checked within a process, through
+copying and pickling, and across two processes whose string hashes are
+salted differently.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schemaforge
-from schemaforge import Graph, Term, Triple, iri, lit, var
+from schemaforge import Graph, Mapping, Term, Triple, iri, lit, var
 
 EXAMPLES = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -63,6 +63,15 @@ def test_match_agrees_with_a_brute_force_filter_on_every_shape(triples, probe_li
 # --- the hash contract ------------------------------------------------------
 
 
+def test_terms_triples_and_mappings_hash_and_compare_as_tuples():
+    # Tuples hash, compare and pickle in C; a Python-level override would
+    # put a frame on every set and dict use.
+    for cls in (Term, Triple, Mapping):
+        assert issubclass(cls, tuple)
+        for method in ("__hash__", "__eq__", "__iter__", "__getitem__", "__reduce__"):
+            assert getattr(cls, method) is getattr(tuple, method), (cls, method)
+
+
 def test_equal_terms_and_triples_hash_alike_and_find_each_other():
     a1, a2 = Term("iri", "urn:g:a"), iri("urn:g:a")
     assert a1 is not a2 and a1 == a2 and hash(a1) == hash(a2)
@@ -77,25 +86,29 @@ def test_equal_terms_and_triples_hash_alike_and_find_each_other():
 def test_copies_and_pickles_keep_equality_and_hash():
     term = lit("x y")
     triple = Triple(iri("urn:g:a"), iri("urn:g:p"), term)
-    for value in (term, triple):
+    mapping = Mapping.of({"x": term, "y": var("y")})
+    for value in (term, triple, mapping):
         for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(copied) is type(value)
             assert copied == value and hash(copied) == hash(value)
             assert copied in {value}
 
 
 PICKLE_TERMS = """
 import pickle, sys
-from schemaforge import Triple, iri, lit
+from schemaforge import Mapping, Triple, iri, lit
 term = iri("urn:g:salted")
-sys.stdout.buffer.write(pickle.dumps([term, Triple(term, iri("urn:g:p"), lit("v"))]))
+triple = Triple(term, iri("urn:g:p"), lit("v"))
+sys.stdout.buffer.write(pickle.dumps([term, triple, Mapping.of({"x": term})]))
 """
 
 LOAD_TERMS = """
 import pickle, sys
-from schemaforge import Triple, iri, lit
-term, triple = pickle.loads(sys.stdin.buffer.read())
+from schemaforge import Mapping, Triple, iri, lit
+term, triple, mapping = pickle.loads(sys.stdin.buffer.read())
 fresh = iri("urn:g:salted")
-print(term in {fresh}, triple in {Triple(fresh, iri("urn:g:p"), lit("v"))})
+print(term in {fresh}, triple in {Triple(fresh, iri("urn:g:p"), lit("v"))},
+      mapping in {Mapping.of({"x": fresh})}, repr(mapping) == "{?x-><urn:g:salted>}")
 """
 
 
@@ -112,4 +125,4 @@ def test_a_term_pickled_under_one_hash_seed_is_found_under_another():
         assert done.returncode == 0, done.stderr.decode()
         return done.stdout
 
-    assert run("2", LOAD_TERMS, run("1", PICKLE_TERMS)).decode().split() == ["True", "True"]
+    assert run("2", LOAD_TERMS, run("1", PICKLE_TERMS)).decode().split() == ["True"] * 4

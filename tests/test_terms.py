@@ -7,16 +7,14 @@ from schemaforge import (
     Graph,
     Mapping,
     SchemaError,
+    Term,
     Triple,
-    apply_substitution,
-    fresh_term,
     iri,
     is_valid_rdf_graph,
     lit,
     var,
-    vars_and_consts,
 )
-from schemaforge.terms import VARIABLE, is_valid_pattern, is_valid_triple
+from schemaforge.terms import is_valid_pattern, is_valid_triple, pattern_consts, pattern_vars
 
 A = iri("urn:t:a")
 B = iri("urn:t:b")
@@ -34,21 +32,23 @@ def test_term_equality_is_structural():
 def test_empty_lexical_rejected():
     with pytest.raises(SchemaError):
         iri("")
+    with pytest.raises(SchemaError):
+        Term("bogus", "x")
 
 
 def test_substitution_replaces_bound_and_keeps_unbound():
     pattern = {Triple(var("v1"), P, var("v2"))}
-    out = apply_substitution(Mapping.of({"v1": B}), pattern)
+    out = Mapping.of({"v1": B}).apply(pattern)
     assert out == {Triple(B, P, var("v2"))}
 
 
 def test_empty_substitution_is_identity():
     pattern = frozenset({Triple(var("v"), P, A), Triple(A, P, B)})
-    assert apply_substitution(Mapping(), pattern) == pattern
+    assert Mapping().apply(pattern) == pattern
 
 
 def test_substitution_may_produce_invalid_triple():
-    out = apply_substitution(Mapping.of({"v": lit("1")}), {Triple(var("v"), P, A)})
+    out = Mapping.of({"v": lit("1")}).apply({Triple(var("v"), P, A)})
     (t,) = out
     assert not is_valid_triple(t)
     assert not is_valid_rdf_graph(out)
@@ -68,12 +68,11 @@ def test_pattern_validity():
 
 def test_vars_and_consts():
     a1 = {Triple(var("v3"), A, var("v4")), Triple(var("v3"), B, C)}
-    names, consts = vars_and_consts(a1)
-    assert names == {"v3", "v4"}
-    assert consts == {A, B, C}
-    assert vars_and_consts([]) == (set(), set())
+    assert pattern_vars(a1) == {"v3", "v4"}
+    assert pattern_consts(a1) == {A, B, C}
+    assert (pattern_vars([]), pattern_consts([])) == (set(), set())
     ground = [Triple(A, P, B)]
-    assert vars_and_consts(ground) == (set(), {A, P, B})
+    assert (pattern_vars(ground), pattern_consts(ground)) == (set(), {A, P, B})
 
 
 def test_graph_rejects_invalid_and_deduplicates():
@@ -93,18 +92,18 @@ def test_graph_match_lookup():
 def test_fresh_names_avoid_observed_and_are_deterministic():
     reg = FreshNames()
     reg.observe([Triple(var("n1"), P, var("n2"))])
-    first = fresh_term(VARIABLE, reg)
-    second = fresh_term(VARIABLE, reg)
+    first = reg.fresh_var()
+    second = reg.fresh_var()
     assert first.lexical not in {"n1", "n2"}
     assert first != second
 
     reg2 = FreshNames()
     reg2.observe([Triple(var("n1"), P, var("n2"))])
-    assert fresh_term(VARIABLE, reg2) == first
+    assert reg2.fresh_var() == first
 
 
 def test_idempotent_substitution():
     s = Mapping.of({"x": A, "y": B})
     pattern = {Triple(var("x"), P, var("y")), Triple(var("z"), P, var("x"))}
-    once = apply_substitution(s, pattern)
-    assert apply_substitution(s, once) == once
+    once = s.apply(pattern)
+    assert s.apply(once) == once
