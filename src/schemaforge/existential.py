@@ -20,10 +20,20 @@ with that constant rather than giving the grounding up. Groundings whose
 completion still fails to be an instance of the schema are discarded; they
 witness nothing about the schema's instances.
 
+Rewriting touches only the rules that can fire. A consequent predicate is
+always a constant, so per rewriting only the rules with a consequent
+predicate among the rewriting's predicates are renamed apart (every rule
+when one of them is a variable), and a constant antecedent predicate is
+unified only with the renamed consequent triples on that predicate. A
+skipped rule still draws the fresh names its renaming would have, so the
+names that reach the witnesses do not depend on the skipping.
+
 Rewriting prunes by homomorphism subsumption, which keeps the rewriting
 set finite on recursive rule sets; the depth bound ``MAX_REWRITE_DEPTH``
 backs the pruning up. The homomorphism test is the package's one join,
-``eval._join``, over the target rewriting frozen into a graph.
+``eval._join``, over the target rewriting frozen into a graph, run only
+when the source's constants are among the target's (a homomorphism maps
+each constant to itself).
 """
 
 from __future__ import annotations
@@ -54,6 +64,7 @@ from .terms import (
     Mapping,
     Term,
     Triple,
+    pattern_consts,
     pattern_vars,
 )
 
@@ -97,6 +108,8 @@ def _homomorphism_exists(src: frozenset[Triple], dst: frozenset[Triple]) -> bool
     This is ``src`` evaluated as a query over ``dst`` with its variables
     frozen into terms (Chandra and Merlin 1977); the first binding decides.
     """
+    if not pattern_consts(src) <= pattern_consts(dst):
+        return False  # h maps every constant to itself
     target = Graph(dst, validate=False)
     goals = [(t, target) for t in sorted(src, key=Triple.sort_key)]
     return next(_join(goals), None) is not None
@@ -105,9 +118,7 @@ def _homomorphism_exists(src: frozenset[Triple], dst: frozenset[Triple]) -> bool
 def _rename_apart(rule: InferenceRule, fresh: FreshNames) -> tuple[frozenset[Triple], list[Triple]]:
     """The rule's antecedent and sorted consequent, every variable renamed
     to a fresh one."""
-    renaming = Mapping.of(
-        {name: fresh.fresh_var("r") for name in sorted(pattern_vars(rule.antecedent | rule.consequent))}
-    )
+    renaming = Mapping.of({name: fresh.fresh_var("r") for name in rule.variable_names})
     return renaming.apply(rule.antecedent), sorted(renaming.apply(rule.consequent), key=Triple.sort_key)
 
 
@@ -139,6 +150,11 @@ def rewrite_antecedents(
     rule's unified antecedent. Rewritings into which a kept rewriting has a
     homomorphism are redundant and pruned, which is what makes recursive
     rule sets terminate.
+
+    The consequent triples are indexed by predicate per rewriting, and
+    only the rules that have one of its predicates (all, if one is a
+    variable) are renamed; the candidates, and so the result and the fresh
+    names drawn, are those of renaming and unifying every rule.
     """
     if fresh is None:
         fresh = FreshNames.of(*(r.antecedent | r.consequent for r in (*rules, rule)))
@@ -152,27 +168,42 @@ def rewrite_antecedents(
             raise RewriteDepthExceededError(
                 f"antecedent rewriting of rule {rule.name or '?'} exceeded depth {MAX_REWRITE_DEPTH}"
             )
-        # One renaming per rule keeps every candidate of this rewriting apart.
-        renamings = [_rename_apart(other, fresh) for other in rules]
+        # One renaming per rule keeps every candidate of this rewriting
+        # apart. Only a rule with a consequent predicate of the rewriting
+        # (every rule, if one of its predicates is a variable) can unify; any
+        # other draws the names its renaming would have, since later names
+        # reach the witnesses.
+        predicates = {t.p for t in current.antecedent}
+        every_rule = any(p.is_variable for p in predicates)
+        built: list[tuple[frozenset[Triple], Triple]] = []
+        for other in rules:
+            if every_rule or not other.consequent_predicates.isdisjoint(predicates):
+                antecedent, consequent = _rename_apart(other, fresh)
+                built.extend((antecedent, t_c) for t_c in consequent)
+            else:
+                for _ in other.variable_names:
+                    fresh.fresh_var("r")
+        # A constant predicate unifies only with its own bucket, which keeps
+        # the candidates in rule order, then sorted consequent order.
+        by_predicate: dict[Term, list[tuple[frozenset[Triple], Triple]]] = {}
+        for pair in built:
+            by_predicate.setdefault(pair[1].p, []).append(pair)
         for t in sorted(current.antecedent, key=Triple.sort_key):
-            for antecedent, consequent in renamings:
-                for t_c in consequent:
-                    theta = _mgu(t, t_c)
-                    if theta is None:
-                        continue
-                    new_antecedent = theta.apply(current.antecedent - {t}) | theta.apply(antecedent)
-                    candidate = Rewriting(new_antecedent, current.depth + 1)
-                    if any(_homomorphism_exists(k.antecedent, candidate.antecedent) for k in kept):
-                        continue
-                    dominated = [
-                        k for k in kept if _homomorphism_exists(candidate.antecedent, k.antecedent)
-                    ]
-                    for k in dominated:
-                        kept.remove(k)
-                        if k in queue:
-                            queue.remove(k)
-                    kept.append(candidate)
-                    queue.append(candidate)
+            for antecedent, t_c in built if t.p.is_variable else by_predicate.get(t.p, ()):
+                theta = _mgu(t, t_c)
+                if theta is None:
+                    continue
+                new_antecedent = theta.apply(current.antecedent - {t}) | theta.apply(antecedent)
+                candidate = Rewriting(new_antecedent, current.depth + 1)
+                if any(_homomorphism_exists(k.antecedent, candidate.antecedent) for k in kept):
+                    continue
+                dominated = [k for k in kept if _homomorphism_exists(candidate.antecedent, k.antecedent)]
+                for k in dominated:
+                    kept.remove(k)
+                    if k in queue:
+                        queue.remove(k)
+                kept.append(candidate)
+                queue.append(candidate)
     return kept
 
 

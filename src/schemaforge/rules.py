@@ -13,8 +13,11 @@ previous round. Each rule is planned once per rule object (its sorted
 antecedent in the join's most-bound-first order, with the constant probe
 of each pattern), and the plan, kept on the rule, serves every closure
 call, every round and every choice of the pattern forced into the delta.
-The direct-from-definition naive iteration is kept behind a flag as the
-testing oracle.
+A round visits only the rules the delta can wake: those with an antecedent
+predicate among the delta's predicates, through a predicate index built
+once per call, and every rule with a variable antecedent predicate. The
+direct-from-definition naive iteration, which visits every rule in every
+round, is kept behind a flag as the testing oracle.
 
 The chase extends a ground graph until every existential rule is satisfied,
 inventing one fresh IRI per residual consequent variable. Each step acts on
@@ -100,6 +103,16 @@ class InferenceRule:
         )
 
     @cached_property
+    def variable_names(self) -> list[str]:
+        """Every variable name of the rule, sorted: the order in which
+        renaming the rule apart draws fresh names."""
+        return sorted(pattern_vars(self.antecedent | self.consequent))
+
+    @cached_property
+    def consequent_predicates(self) -> frozenset[Term]:
+        return frozenset(t.p for t in self.consequent)
+
+    @cached_property
     def _seminaive_plan(self) -> _Plan:
         """The antecedent in join order, each pattern with the constant
         probe that tells whether any delta triple can fit it."""
@@ -148,8 +161,22 @@ def closure(
     ``naive=True`` switches to the direct definition (re-evaluate every rule
     against the whole graph each round); it is the oracle the semi-naive
     path is tested against. Each rule is planned once per rule object, on
-    its first semi-naive use.
+    its first semi-naive use. A semi-naive round matches only the rules
+    with an antecedent predicate in the round's delta or a variable one;
+    no other rule has an antecedent triple a delta triple can fit.
     """
+    # Predicate -> positions of the rules with an antecedent triple on it;
+    # a rule with a variable antecedent predicate is woken by every delta.
+    woken_by: dict[Term, list[int]] = {}
+    always: list[int] = []
+    for i, rule in enumerate(rules):
+        predicates = {t.p for t in rule.antecedent}
+        if any(p.is_variable for p in predicates):
+            always.append(i)
+        else:
+            for p in predicates:
+                woken_by.setdefault(p, []).append(i)
+
     current: set[Triple] = set(graph.triples)
     delta: set[Triple] = set(graph.triples)
     while delta:
@@ -157,8 +184,13 @@ def closure(
             clock.check(every=1)
         full_graph = Graph(current, validate=False)
         delta_graph = Graph(delta, validate=False)
+        if naive:
+            visited = rules
+        else:
+            woken = set(always).union(*(woken_by.get(p, ()) for p in {t.p for t in delta}))
+            visited = [rules[i] for i in sorted(woken)]
         new: set[Triple] = set()
-        for rule in rules:
+        for rule in visited:
             if naive:
                 mappings = evaluate_bgp(rule.antecedent, full_graph, clock)
             else:
