@@ -33,12 +33,13 @@ set finite on recursive rule sets; the depth bound ``MAX_REWRITE_DEPTH``
 backs the pruning up. The homomorphism test is the package's one join,
 ``eval._join``, over the target rewriting frozen into a graph, run only
 when the source's constants are among the target's (a homomorphism maps
-each constant to itself).
+each constant to itself); each rewriting's constants are collected once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 from .consequence import (
@@ -78,6 +79,10 @@ class Rewriting:
     antecedent: frozenset[Triple]
     depth: int
 
+    @cached_property
+    def constants(self) -> set[Term]:
+        return pattern_consts(self.antecedent)
+
 
 def _mgu(t1: Triple, t2: Triple) -> Mapping | None:
     """Most general unifier of two triple patterns (atomic terms only)."""
@@ -102,16 +107,16 @@ def _mgu(t1: Triple, t2: Triple) -> Mapping | None:
     return Mapping.of({name: walk(value) for name, value in subst.items()})
 
 
-def _homomorphism_exists(src: frozenset[Triple], dst: frozenset[Triple]) -> bool:
+def _homomorphism_exists(src: Rewriting, dst: Rewriting) -> bool:
     """Is there a variable mapping h with h(src) a subset of dst?
 
     This is ``src`` evaluated as a query over ``dst`` with its variables
     frozen into terms (Chandra and Merlin 1977); the first binding decides.
     """
-    if not pattern_consts(src) <= pattern_consts(dst):
+    if not src.constants <= dst.constants:
         return False  # h maps every constant to itself
-    target = Graph(dst, validate=False)
-    goals = [(t, target) for t in sorted(src, key=Triple.sort_key)]
+    target = Graph(dst.antecedent, validate=False)
+    goals = [(t, target) for t in sorted(src.antecedent, key=Triple.sort_key)]
     return next(_join(goals), None) is not None
 
 
@@ -195,9 +200,9 @@ def rewrite_antecedents(
                     continue
                 new_antecedent = theta.apply(current.antecedent - {t}) | theta.apply(antecedent)
                 candidate = Rewriting(new_antecedent, current.depth + 1)
-                if any(_homomorphism_exists(k.antecedent, candidate.antecedent) for k in kept):
+                if any(_homomorphism_exists(k, candidate) for k in kept):
                     continue
-                dominated = [k for k in kept if _homomorphism_exists(candidate.antecedent, k.antecedent)]
+                dominated = [k for k in kept if _homomorphism_exists(candidate, k)]
                 for k in dominated:
                     kept.remove(k)
                     if k in queue:

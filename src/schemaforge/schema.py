@@ -16,7 +16,8 @@ graph lookup on its constants and a check that a repeated variable meets
 one value, not by the join of conjunctions; the antecedent's lookup is
 worked out once per rule. :func:`unsatisfied` yields the failing pairs
 lazily, in rule order and then mapping order, for the violation check and
-for the chase that repairs them.
+for the chase that repairs them; a rule whose antecedent predicate is a
+constant the graph lacks is skipped without a lookup.
 
 Instance checks, normalisation and origin lookups ask which schema
 patterns can cover a triple. They ask a :class:`PatternIndex`, which
@@ -214,24 +215,52 @@ def _pattern_matches(probe: tuple, repeats: tuple, graph: Graph) -> list[Triple]
     return found
 
 
+def _has_match(pattern: Triple, graph: Graph) -> bool:
+    """Whether some graph triple is an instance of the pattern."""
+    return bool(_pattern_matches(*_probe(pattern), graph))
+
+
+def _antecedent_match(rule: ExistentialRule, t: Triple) -> Mapping | None:
+    """The mapping that sends the rule's antecedent onto ``t``, or None."""
+    probe, repeats, slots = rule._antecedent_probe
+    if any(c is not None and c != x for c, x in zip(probe, t)) or any(t[i] != t[j] for i, j in repeats):
+        return None
+    return Mapping(tuple((name, t[i]) for name, i in slots))
+
+
 def unsatisfied(
     rules: Iterable[ExistentialRule], graph: Graph
 ) -> Iterator[tuple[ExistentialRule, Mapping]]:
     """Lazily, each rule with each antecedent match that has no consequent
     witness, in rule order and then mapping order.
 
-    Residual variables of the instantiated consequent are matched as a
-    pattern, so any witness triple satisfies the rule.
+    A rule whose antecedent predicate is a constant the graph lacks is
+    skipped unprobed; the graph's predicates are the keys of its predicate
+    index. Residual variables of the instantiated consequent are matched as
+    a pattern, so any witness triple satisfies the rule.
     """
-    for rule in rules:
+    rules = list(rules)
+    for position, m in _unsatisfied_at(rules, graph):
+        yield rules[position], m
+
+
+def _unsatisfied_at(rules: list[ExistentialRule], graph: Graph) -> Iterator[tuple[int, Mapping]]:
+    """:func:`unsatisfied`, each pair by the rule's position in the list."""
+    predicates = None  # built for the first constant antecedent predicate
+    for position, rule in enumerate(rules):
         probe, repeats, slots = rule._antecedent_probe
+        if probe[1] is not None:
+            if predicates is None:
+                predicates = graph.predicates()
+            if probe[1] not in predicates:
+                continue
         found = _pattern_matches(probe, repeats, graph)
         if not found:
             continue
         matches = [Mapping(tuple((name, t[i]) for name, i in slots)) for t in found]
         for m in sorted(matches, key=Mapping.sort_key):
-            if not _pattern_matches(*_probe(m.apply_triple(rule.consequent)), graph):
-                yield rule, m
+            if not _has_match(m.apply_triple(rule.consequent), graph):
+                yield position, m
 
 
 def violations(rules: Iterable[ExistentialRule], graph: Graph) -> frozenset[Violation]:

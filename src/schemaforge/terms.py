@@ -15,16 +15,18 @@ lexical form alone.
 Terms, triples and mappings are tuples, so they hash, compare, unpack and
 pickle as tuples do.
 
-Everything here is immutable and safe to share. The one stateful object is
-:class:`FreshNames`, which hands out variable names and IRIs guaranteed not
-to collide with anything it has been shown; a given sequence of calls always
-produces the same names, so runs are reproducible.
+Everything here is immutable and safe to share, but for a graph that its
+builder grows in place with :meth:`Graph.insert` and hands out only once
+frozen. The one stateful object is :class:`FreshNames`, which hands out
+variable names and IRIs guaranteed not to collide with anything it has been
+shown; a given sequence of calls always produces the same names, so runs
+are reproducible.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, KeysView, NamedTuple
 
 from .errors import SchemaError
 
@@ -204,7 +206,9 @@ class Graph:
 
     There is one index per mask of bound positions, built lazily on the
     first lookup with that mask, which keeps construction cheap for graphs
-    that are only ever iterated.
+    that are only ever iterated. The one exception to immutability is
+    :meth:`insert`, for the closure and the chase, which grow a graph of
+    their own and never hand it out unfrozen.
     """
 
     __slots__ = ("triples", "_idx")
@@ -253,10 +257,41 @@ class Graph:
         key = _KEY_GETTERS[mask]
         index = self._idx.get(mask)
         if index is None:
+            index = self._index(mask)
+        return index.get(key((s, p, o)), [])
+
+    def _index(self, mask: int) -> dict:
+        index = self._idx.get(mask)
+        if index is None:
+            key = _KEY_GETTERS[mask]
             index = self._idx[mask] = {}
             for t in self.triples:
                 index.setdefault(key(t), []).append(t)
-        return index.get(key((s, p, o)), [])
+        return index
+
+    def predicates(self) -> KeysView[Term]:
+        """The distinct predicates: the keys of the predicate index."""
+        return self._index(2).keys()
+
+    def insert(self, t: Triple) -> bool:
+        """Add a ground triple in place, to the triples and to every index
+        built so far; False if it was there. Only for a graph its builder
+        has not handed out: the first insert turns ``triples`` into a set,
+        so the graph no longer hashes, and lists that :meth:`match`
+        returned grow with the indexes."""
+        if t in self.triples:
+            return False
+        if isinstance(self.triples, frozenset):
+            self.triples = set(self.triples)
+        self.triples.add(t)
+        for mask, index in self._idx.items():
+            index.setdefault(_KEY_GETTERS[mask](t), []).append(t)
+        return True
+
+    def freeze(self) -> "Graph":
+        """This graph, immutable again after :meth:`insert`, indexes kept."""
+        self.triples = frozenset(self.triples)
+        return self
 
     def union(self, triples: Iterable[Triple]) -> "Graph":
         return Graph(self.triples | frozenset(triples), validate=False)

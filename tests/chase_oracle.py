@@ -1,19 +1,31 @@
-"""The join-based violation check and chase step, kept as the oracles that
-the single-pattern matching of ``schema.unsatisfied`` is tested against.
+"""The join-based violation check and the rescanning chase, kept as the
+oracles that ``schema.unsatisfied`` and ``rules.chase_existentials`` are
+tested against.
 
 Both send each side of an existential rule through the general join of
 conjunctions, ``evaluate_bgp``, as a one-pattern conjunction: the
 antecedent's matches are evaluated as a set and sorted, and each
 instantiated consequent is evaluated in full to learn whether it has a
 witness. That is a direct transcription of the definition of a violation.
+The chase rebuilds its graph after every change and rescans every rule from
+the first one, so it keeps no state between steps that could go stale.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from schemaforge import ExistentialRule, FreshNames, Graph, Mapping, Term, Triple, TriplestoreSchema
-from schemaforge.eval import evaluate_bgp
+from schemaforge import (
+    ChaseNonterminationError,
+    ExistentialRule,
+    FreshNames,
+    Graph,
+    Mapping,
+    Term,
+    Triple,
+    TriplestoreSchema,
+)
+from schemaforge.eval import BudgetClock, evaluate_bgp
 from schemaforge.rules import _unify_with_pattern
 from schemaforge.schema import Violation, instantiates_some
 from schemaforge.terms import pattern_vars
@@ -62,3 +74,34 @@ def oracle_chase_step(
                 nulls.difference_update(subst)
                 return rewritten
     return None
+
+
+def oracle_chase(
+    graph: Graph,
+    rules: Iterable[ExistentialRule],
+    fresh: FreshNames,
+    max_steps: int | None = None,
+    schema: TriplestoreSchema | None = None,
+    nulls: set[Term] | None = None,
+    clock: BudgetClock | None = None,
+) -> Graph:
+    """``chase_existentials`` as one :func:`oracle_chase_step` after another,
+    each on a graph rebuilt from the last step's triples."""
+    rule_list = sorted(rules, key=ExistentialRule.sort_key)
+    if nulls is None:
+        nulls = set()
+    if max_steps is None:
+        max_steps = 10 * (len(graph) + len(rule_list) + 1) ** 2
+    current = graph
+    steps = 0
+    while (changed := oracle_chase_step(current, rule_list, fresh, schema, nulls)) is not None:
+        if clock is not None:
+            clock.check(every=1)
+        current = Graph(changed, validate=False)
+        steps += 1
+        if steps > max_steps:
+            raise ChaseNonterminationError(
+                f"chase exceeded {max_steps} steps; the existential rules are "
+                "likely not weakly acyclic"
+            )
+    return current

@@ -122,13 +122,15 @@ def cyclic_chase_problem() -> tuple[TriplestoreSchema, list[InferenceRule]]:
 
     The existential rule ``?x :p ?y => ?y :p ?z`` extends any ``:p`` chain
     forever, and grounding the rule ``{?a :p ?b} => {?a :q ?b}`` for the
-    existential rule on ``:q`` starts such a chain. Eight acyclic filler
-    rules raise the chase's step bound to 1440, so the chase runs for many
-    seconds before that bound trips.
+    existential rule on ``:q`` starts such a chain. The chase's step bound
+    is ``10 * (|graph| + |rules| + 1) ** 2``, and a step costs it the same
+    however long the chain, so 140 acyclic filler rules raise the bound to
+    207,360 steps, which take 7 to 9 s on a 2-core host, before the bound
+    trips.
     """
     ns = "urn:cyc:"
     p, q, r = iri(ns + "p"), iri(ns + "q"), iri(ns + "r")
-    fillers = [iri(f"{ns}e{i}") for i in range(8)]
+    fillers = [iri(f"{ns}e{i}") for i in range(140)]
     x, y, z = var("x"), var("y"), var("z")
     patterns = [Triple(var(f"s{i}"), pred, var(f"o{i}")) for i, pred in enumerate([p, q, r, *fillers])]
     existentials = [

@@ -170,7 +170,7 @@ def test_budget_bounds_the_existential_chase(tmp_path, capsys):
     rules_path.write_text(serialize_rules(rules))
     args = ["consequence", "--existential", "-s", str(schema_path), "-r", str(rules_path)]
     assert main([*args, "--budget", "1"]) == 3
-    # The chase's step bound also exits 3, many seconds later; the message
+    # The chase's step bound also exits 3, 7 to 9 s later; the message
     # tells the spent budget apart.
     assert "wall-clock budget exceeded" in capsys.readouterr().err
 

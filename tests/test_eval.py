@@ -24,7 +24,7 @@ from schemaforge import (
     lit,
     var,
 )
-from schemaforge.existential import _homomorphism_exists
+from schemaforge.existential import Rewriting, _homomorphism_exists
 from schemaforge.terms import pattern_vars
 
 from conftest import (
@@ -315,6 +315,11 @@ def test_union_query_stops_on_an_expired_budget():
             evaluate_union_query(antecedent, LAM, graph, BudgetClock(0))
 
 
+def homomorphism_exists(src: frozenset[Triple], dst: frozenset[Triple]) -> bool:
+    """The search's homomorphism test between two sets of patterns."""
+    return _homomorphism_exists(Rewriting(src, 0), Rewriting(dst, 0))
+
+
 def brute_force_homomorphism(src, dst) -> bool:
     """Some assignment of src's variables to dst's terms sends src into dst."""
     names = sorted(pattern_vars(src))
@@ -330,15 +335,15 @@ def brute_force_homomorphism(src, dst) -> bool:
 def test_homomorphism_matches_assignment_search(src, dst):
     # src and dst draw on the same variable names: dst's variables are
     # frozen terms, never renamed by the homomorphism.
-    assert _homomorphism_exists(src, dst) == brute_force_homomorphism(src, dst)
+    assert homomorphism_exists(src, dst) == brute_force_homomorphism(src, dst)
 
 
 def test_homomorphism_treats_target_variables_as_terms():
     x, y = var("x"), var("y")
-    assert _homomorphism_exists(frozenset({Triple(x, PA, x)}), frozenset({Triple(y, PA, y)}))
-    assert not _homomorphism_exists(frozenset({Triple(x, PA, x)}), frozenset({Triple(x, PA, y)}))
-    assert not _homomorphism_exists(frozenset({Triple(x, PA, PB)}), frozenset({Triple(x, PA, y)}))
-    assert _homomorphism_exists(frozenset(), frozenset())
+    assert homomorphism_exists(frozenset({Triple(x, PA, x)}), frozenset({Triple(y, PA, y)}))
+    assert not homomorphism_exists(frozenset({Triple(x, PA, x)}), frozenset({Triple(x, PA, y)}))
+    assert not homomorphism_exists(frozenset({Triple(x, PA, PB)}), frozenset({Triple(x, PA, y)}))
+    assert homomorphism_exists(frozenset(), frozenset())
 
 
 def test_evaluation_leaves_no_garbage_cycles(instance_i1):
@@ -352,7 +357,7 @@ def test_evaluation_leaves_no_garbage_cycles(instance_i1):
         evaluate_bgp(rules[0].antecedent, instance_i1)
         evaluate_union_query(rules[0].antecedent, LAM, instance_i1)
         closure(instance_i1, rules)
-        _homomorphism_exists(src, src | frozenset(rules[1].antecedent))
+        homomorphism_exists(src, src | frozenset(rules[1].antecedent))
         assert gc.collect() == 0
     finally:
         gc.enable()

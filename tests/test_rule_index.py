@@ -188,20 +188,28 @@ def test_closure_matches_only_the_rules_woken_by_the_delta(monkeypatch):
         InferenceRule.of([Triple(var("x"), var("p"), var("y"))], [Triple(var("y"), R, var("x"))], "any"),
     ]
     by_plan = {id(rule._seminaive_plan): rule for rule in rules}
+    joined: list[str] = []
     matched: list[str] = []
-    real = rules_module._rule_matches_seminaive
+    real_join, real_seminaive = rules_module._rule_matches, rules_module._rule_matches_seminaive
 
-    def counting(plan, full, delta, clock):
+    def counting_join(plan, graph, clock):
+        joined.append(by_plan[id(plan)].name)
+        return real_join(plan, graph, clock)
+
+    def counting_seminaive(plan, full, delta, clock):
         rule = by_plan[id(plan)]
         woken = {t.p for t in delta.triples} | {var("p")}
         assert {t.p for t in rule.antecedent} & woken
         matched.append(rule.name)
-        return real(plan, full, delta, clock)
+        return real_seminaive(plan, full, delta, clock)
 
-    monkeypatch.setattr(rules_module, "_rule_matches_seminaive", counting)
+    monkeypatch.setattr(rules_module, "_rule_matches", counting_join)
+    monkeypatch.setattr(rules_module, "_rule_matches_seminaive", counting_seminaive)
     graph = Graph([Triple(A, P, B), Triple(B, P, C)])
     closed = closure(graph, rules)
-    # Round 1 (delta on P) wakes lift and any; rounds 2 (Q and R) and 3
-    # (R) wake only any. Visiting every rule would make 9 calls.
-    assert matched == ["lift", "any", "any", "any"]
+    # Round 1 (the whole graph, on P) joins lift and any once each; rounds
+    # 2 (Q and R) and 3 (R) wake only any. Visiting every rule would make
+    # 9 calls.
+    assert joined == ["lift", "any"]
+    assert matched == ["any", "any"]
     assert closed == closure(graph, rules, naive=True)

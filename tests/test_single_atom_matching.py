@@ -2,17 +2,20 @@
 
 ``schema.unsatisfied`` matches each side of an existential rule with one
 graph lookup instead of the join of conjunctions; ``schema.violations`` and
-the chase step both read it. These tests compare both against the
-join-based versions kept in ``chase_oracle.py``: the violation sets, the
-order in which the chase meets them, and every chase step, by its result,
-the nulls it leaves and the next fresh IRI it would draw. They also guard
-the work saved: a chase step makes no join, and closure plans each rule
-once, however often it is called.
+the chase both read it. These tests compare both against the join-based
+versions kept in ``chase_oracle.py``: the violation sets, the order in
+which the chase meets them, and every chase, by its result (or the error
+it raises), the nulls it leaves and the next fresh IRI it would draw. The
+oracle chase rescans every rule after every change, so it also checks the
+pending pairs the chase keeps between steps. They also guard the work
+saved: the chase makes no join, and closure plans each rule once, however
+often it is called.
 """
 
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -42,9 +45,7 @@ from schemaforge import schema as schema_module
 from schemaforge.generator import GeneratorConfig, generate
 from schemaforge.schema import unsatisfied
 
-from chase_oracle import oracle_chase_step, oracle_violations
-
-chase_step = rules_module._chase_step  # unpatched, whatever a test patches
+from chase_oracle import oracle_chase, oracle_violations
 
 A, B, C = iri("urn:m:a"), iri("urn:m:b"), iri("urn:m:c")
 P, Q = iri("urn:m:p"), iri("urn:m:q")
@@ -75,34 +76,23 @@ def fresh_for(graph: Graph, rules: list[ExistentialRule], schema: TriplestoreSch
     return fresh
 
 
-def chase_with(step, graph, rules, schema, nulls, max_steps=40):
-    """The chase run with the given step: its graph (None if it did not end
-    within the bound), the nulls it leaves and the next fresh IRI."""
-    fresh = fresh_for(graph, rules, schema)
+def chase_with(chase, graph, rules, schema, nulls, fresh=None, max_steps=40):
+    """The chase's graph (its error message if it did not end within the
+    bound), the nulls it leaves and the next fresh IRI it would draw. The
+    registry and nulls given are copied, not touched."""
+    fresh = fresh_for(graph, rules, schema) if fresh is None else copy.deepcopy(fresh)
     left = set(nulls)
-    with mock.patch.object(rules_module, "_chase_step", step):
-        try:
-            out = chase_existentials(graph, rules, fresh, max_steps, schema=schema, nulls=left)
-        except ChaseNonterminationError:
-            out = None
+    try:
+        out = chase(graph, rules, fresh, max_steps, schema=schema, nulls=left)
+    except ChaseNonterminationError as error:
+        out = str(error)
     return out, left, fresh.fresh_iri()
 
 
-def assert_chase_matches_oracle(graph, rules, schema=None, nulls=()):
-    assert chase_with(chase_step, graph, rules, schema, nulls) == chase_with(
-        oracle_chase_step, graph, rules, schema, nulls
-    )
-
-
-def assert_step_matches_oracle(graph, rules, fresh, schema, nulls):
-    """One chase step of each on copies of the state; returns the step's result."""
-    fresh_o, nulls_o = copy.deepcopy(fresh), set(nulls)
-    fresh_n, nulls_n = copy.deepcopy(fresh), set(nulls)
-    expected = oracle_chase_step(graph, rules, fresh_o, schema, nulls_o)
-    got = chase_step(graph, rules, fresh_n, schema, nulls_n)
-    assert got == expected
-    assert nulls_n == nulls_o
-    assert fresh_n.fresh_iri() == fresh_o.fresh_iri()
+def assert_chase_matches_oracle(graph, rules, schema=None, nulls=(), fresh=None, max_steps=40):
+    """Both chases on copies of the state; returns the chase's outcome."""
+    got = chase_with(chase_existentials, graph, rules, schema, nulls, fresh, max_steps)
+    assert got == chase_with(oracle_chase, graph, rules, schema, nulls, fresh, max_steps)
     return got
 
 
@@ -159,7 +149,7 @@ def test_repairs_and_unwitnessable_matches_match_the_oracle():
     )
     rules = [e(Triple(X, P, Y), Triple(X, Q, Z)), e(Triple(X, P, Y), Triple(Y, Q, Z))]
     graph = Graph([Triple(N0, P, N1), Triple(N1, P, ONE)])
-    out = chase_with(chase_step, graph, rules, schema, {N0, N1})[0]
+    out = chase_with(chase_existentials, graph, rules, schema, {N0, N1})[0]
     assert N0 not in out.constants() and N1 not in out.constants()
     assert_chase_matches_oracle(graph, rules, schema, {N0, N1})
 
@@ -171,6 +161,19 @@ predicates = st.sampled_from([X, Y, W, P, Q])
 objects = st.sampled_from([X, Y, Z, W, A, B, ONE])
 existential_rules = st.builds(e, st.builds(Triple, subjects, predicates, objects),
                               st.builds(Triple, subjects, predicates, objects))
+# Shapes mixed into the chase's rules, which drawn rules rarely take: the
+# antecedent's object carried into the witness's subject (a literal there
+# leaves the pair standing, a null there may need a repair), a repeated
+# antecedent variable and a variable antecedent predicate.
+chase_rules = st.lists(
+    existential_rules | st.sampled_from([
+        e(Triple(X, P, Y), Triple(Y, Q, Z)),
+        e(Triple(X, Q, Y), Triple(Y, P, Z)),
+        e(Triple(X, P, X), Triple(X, Q, Y)),
+        e(Triple(X, Y, Z), Triple(Z, Y, W)),
+    ]),
+    unique=True, min_size=1, max_size=3,
+)
 ground_triples = st.builds(
     Triple, st.sampled_from([A, B, N0, N1]), st.sampled_from([P, Q]), st.sampled_from([A, B, N0, ONE])
 )
@@ -208,17 +211,44 @@ def test_unsatisfied_pairs_match_the_oracle_in_order(rules, triples):
     assert violations(rules, graph) == oracle_violations(rules, graph)
 
 
-@EXAMPLES
-@given(
-    st.lists(existential_rules, unique=True, min_size=1, max_size=3),
-    st.sets(ground_triples, max_size=5),
-    st.none() | schemas(),
-)
-def test_chase_matches_the_oracle(rules, triples, schema):
-    graph = Graph(triples)
-    fresh = fresh_for(graph, rules, schema)
-    assert_step_matches_oracle(graph, rules, fresh, schema, {N0, N1})
-    assert_chase_matches_oracle(graph, rules, schema, {N0, N1})
+def chase_cases(rules, schema, out, repairs: int) -> set[str]:
+    """The cases an input exercised, of those the pending pairs must get right."""
+    cases = {"repair"} if repairs else set()
+    if any(rule.antecedent.p.is_variable for rule in rules):
+        cases.add("variable antecedent predicate")
+    if any(len({t for t in rule.antecedent if t.is_variable}) < sum(t.is_variable for t in rule.antecedent)
+           for rule in rules):
+        cases.add("repeated antecedent variable")
+    consequents = [m.apply_triple(rule.consequent) for rule, m in unsatisfied(rules, out)] if isinstance(out, Graph) else []
+    if any(t.s.is_literal or t.p.is_literal for t in consequents):
+        cases.add("literal-blocked")  # no valid witness exists; passed over at every step
+    if isinstance(out, str):
+        cases.add("step bound")
+    return cases
+
+
+def test_chase_matches_the_oracle():
+    seen: Counter = Counter()
+    real_repair = rules_module._repair
+
+    @EXAMPLES
+    @given(chase_rules, st.sets(ground_triples, max_size=5), st.none() | schemas())
+    def check(rules, triples, schema):
+        repairs = []
+
+        def counted(*args):
+            repaired = real_repair(*args)
+            repairs.append(repaired is not None)
+            return repaired
+
+        with mock.patch.object(rules_module, "_repair", counted):
+            out = assert_chase_matches_oracle(Graph(triples), rules, schema, {N0, N1})[0]
+        seen.update(chase_cases(rules, schema, out, sum(repairs)))
+
+    check()
+    # Each case occurs in at least 10 of the 300 inputs (the fewest, 13,
+    # are repairs).
+    assert len(seen) == 5 and min(seen.values()) >= 10, seen
 
 
 @st.composite
@@ -243,13 +273,15 @@ def test_planned_closure_matches_naive_closure(rules, triples):
 # --- the violation search on generated problems -----------------------------
 
 
-def test_generated_searches_match_the_oracles_at_every_step():
+def test_generated_searches_match_the_oracles_at_every_chase():
     compared = []
     real_violations = schema_module.violations
 
-    def checked_step(graph, rules, fresh, schema, nulls):
-        compared.append(assert_step_matches_oracle(graph, rules, fresh, schema, nulls))
-        return chase_step(graph, rules, fresh, schema, nulls)
+    def checked_chase(graph, rules, fresh, max_steps=None, schema=None, nulls=None, clock=None):
+        rules = list(rules)
+        out = assert_chase_matches_oracle(graph, rules, schema, nulls, fresh, max_steps)[0]
+        compared.append(out != graph)  # whether the chase changed anything
+        return chase_existentials(graph, rules, fresh, max_steps, schema, nulls, clock)
 
     def checked_violations(rules, graph):
         rules = list(rules)
@@ -257,17 +289,18 @@ def test_generated_searches_match_the_oracles_at_every_step():
         assert got == oracle_violations(rules, graph)
         return got
 
-    def search(schema, rules, step, check):
-        with mock.patch.object(rules_module, "_chase_step", step), \
+    def search(schema, rules, chase, check):
+        with mock.patch.object(existential_module, "chase_existentials", chase), \
                 mock.patch.object(schema_module, "violations", check), \
                 mock.patch.object(existential_module, "violations", check):
             return retained_existentials(schema, rules)
 
     for g in range(40):
         schema, rules = generate(GeneratorConfig(0.1, 22, 20, 20, 20, 4, 10, 3, g))
-        report = search(schema, rules, checked_step, checked_violations)
-        assert report == search(schema, rules, oracle_chase_step, oracle_violations), g
-    assert len(compared) > 100
+        report = search(schema, rules, checked_chase, checked_violations)
+        assert report == search(schema, rules, oracle_chase, oracle_violations), g
+    # 470 chases, 82 of which change their graph.
+    assert len(compared) > 400 and sum(compared) > 60
 
 
 # --- the work saved ---------------------------------------------------------
@@ -280,7 +313,7 @@ def counting(calls: list, function):
     return counted
 
 
-def test_chase_step_makes_no_join_call(monkeypatch):
+def test_chase_makes_no_join_call(monkeypatch):
     calls: list = []
     wrapper = counting(calls, eval_module._join)
     for module in (eval_module, rules_module, schema_module):
@@ -289,7 +322,7 @@ def test_chase_step_makes_no_join_call(monkeypatch):
     graph = Graph(triples)
     schema = TriplestoreSchema.of([Triple(var("v1"), var("v2"), var("v3"))], ["v1", "v2"])
     for s in (None, schema):
-        assert chase_step(graph, rules, fresh_for(graph, rules, s), s, set()) is not None
+        assert chase_existentials(graph, rules, fresh_for(graph, rules, s), schema=s) != graph
     assert calls == []
 
 
