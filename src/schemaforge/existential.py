@@ -9,8 +9,8 @@ unifies with the existential antecedent; every rewriting of the triggering
 rule's antecedent (obtained by repeatedly unfolding antecedent triples
 through unifiable consequent triples) is matched against the schema's
 sandbox graph through the fixpoint's own matching step,
-:func:`consequence.surviving_mappings`. Each surviving match is grounded
-into a small candidate instance, completed with the package's one
+:func:`consequence.surviving_mappings`. Each surviving match is grounded,
+on demand, into a small candidate instance, completed with the package's one
 chase (:func:`rules.chase_existentials`, given the schema so that it
 repairs) so it satisfies all existential rules, closed under the inference
 rules, and tested for a violation. The IRIs a grounding invents stay
@@ -19,6 +19,12 @@ pattern's constant in some position, the invented IRI there is unified
 with that constant rather than giving the grounding up. Groundings whose
 completion still fails to be an instance of the schema are discarded; they
 witness nothing about the schema's instances.
+
+One violating witness is enough, so a triggering rule's groundings are a
+memoised lazy sequence: an existential rule reads those already built, then
+builds new ones only until one violates it. A grounding no rule reads is
+never built, and draws no fresh IRIs. A rule is retained only once every
+grounding of every triggering rule was built and checked.
 
 Rewriting touches only the rules that can fire. A consequent predicate is
 always a constant, so per rewriting only the rules with a consequent
@@ -40,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .consequence import (
     SCORE,
@@ -134,13 +140,20 @@ def _triggers(
     consequent triple its antecedent unifies with. The rules are renamed
     apart by a registry of their own, so the search's names are not drawn;
     consequent triples never repeat a variable, so this is the union query
-    of the antecedent over the consequent's sandbox."""
+    of the antecedent over the consequent's sandbox. Consequent predicates
+    are constants: a constant antecedent predicate meets only the triples
+    on it, a variable one meets every triple."""
     apart = FreshNames.of([e.antecedent for e in existentials])
-    consequents = [_rename_apart(rule, apart)[1] for rule in rules]
-    return [
-        [p for p, c in enumerate(consequents) if any(_mgu(e.antecedent, t) is not None for t in c)]
-        for e in existentials
-    ]
+    every = [(p, t) for p, rule in enumerate(rules) for t in _rename_apart(rule, apart)[1]]
+    by_predicate: dict[Term, list[tuple[int, Triple]]] = {}
+    for pair in every:
+        by_predicate.setdefault(pair[1].p, []).append(pair)
+    out: list[list[int]] = []
+    for e in existentials:
+        a = e.antecedent
+        candidates = every if a.p.is_variable else by_predicate.get(a.p, ())
+        out.append(sorted({p for p, t in candidates if _mgu(a, t) is not None}))
+    return out
 
 
 def rewrite_antecedents(
@@ -246,8 +259,9 @@ def _groundings_for_rule(
     lam: Term,
     fresh: FreshNames,
     clock: BudgetClock | None,
-) -> list[_Grounding]:
-    out: list[_Grounding] = []
+) -> Iterator[_Grounding]:
+    """The rule's groundings, built one at a time: rewriting by rewriting,
+    then surviving mapping by mapping."""
     for rewriting in rewrite_antecedents(rule, list(rules), fresh):
         for fm in surviving_mappings(rewriting.antecedent, (), schema, SCORE, lam, sandbox, clock):
             kept = Mapping.of({k: v for k, v in fm.mapping if v != lam})
@@ -263,8 +277,16 @@ def _groundings_for_rule(
             if not is_instance(chased, schema):
                 continue
             closed = closure(chased, list(rules), clock=clock)
-            out.append(_Grounding(chased, closed))
-    return out
+            yield _Grounding(chased, closed)
+
+
+def _memoised(built: list[_Grounding], pending: Iterator[_Grounding]) -> Iterator[_Grounding]:
+    """The groundings built so far, then new ones pulled from ``pending``
+    and kept for the next reader."""
+    yield from built
+    for grounding in pending:
+        built.append(grounding)
+        yield grounding
 
 
 def retained_existentials(
@@ -275,9 +297,13 @@ def retained_existentials(
     """Split the schema's existential rules into retained and violable.
 
     An existential rule is examined against every inference rule with a
-    consequent triple its antecedent unifies with; candidate instances are
-    shared across existential rules since their construction does not
-    depend on the rule under test, and dropped after the last existential
+    consequent triple its antecedent unifies with. A triggering rule's
+    candidate instances are built on demand and shared across existential
+    rules, since their construction does not depend on the rule under test:
+    each rule reads those built so far, then builds new ones only until one
+    violates it, so the search stops at the first violating witness. A rule
+    is retained only after every candidate of every triggering rule was
+    built and checked. Candidates are dropped after the last existential
     rule that can use them.
     """
     existentials = schema.sorted_existentials()
@@ -290,16 +316,18 @@ def retained_existentials(
     sandbox = build_sandbox(schema, lam)
     triggers = _triggers(existentials, rules)  # rule names need not be unique
     last_use = {position: i for i, positions in enumerate(triggers) for position in positions}
-    grounding_cache: dict[int, list[_Grounding]] = {}
+    # Per trigger position, the groundings built so far and the suspended rest.
+    grounding_cache: dict[int, tuple[list[_Grounding], Iterator[_Grounding]]] = {}
 
     violated: list[ViolationReport] = []
     for i, (e, positions) in enumerate(zip(existentials, triggers)):
         for position in positions:
             if position not in grounding_cache:
-                grounding_cache[position] = _groundings_for_rule(
+                grounding_cache[position] = [], _groundings_for_rule(
                     rules[position], schema, rules, sandbox, lam, fresh, clock
                 )
-            found = next((g for g in grounding_cache[position] if violations([e], g.closed)), None)
+            groundings = _memoised(*grounding_cache[position])
+            found = next((g for g in groundings if violations([e], g.closed)), None)
             if found is not None:
                 violated.append(ViolationReport(e, found.witness, rules[position].name))
                 break

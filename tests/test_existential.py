@@ -320,9 +320,10 @@ def test_budget_bounds_the_chase():
 
 
 def test_each_rule_is_grounded_once(monkeypatch):
-    # Groundings are released after the last existential rule they can
-    # trigger, never before: a rule grounded twice would draw other fresh
-    # IRIs and change the witnesses.
+    # A rule's groundings are built on demand into one memoised sequence,
+    # released after the last existential rule they can trigger, never
+    # before: a rule grounded twice would chase and close its groundings
+    # again, and draw fresh IRIs for them again.
     grounded = []
     real = existential._groundings_for_rule
 

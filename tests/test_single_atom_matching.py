@@ -295,11 +295,13 @@ def test_generated_searches_match_the_oracles_at_every_chase():
                 mock.patch.object(existential_module, "violations", check):
             return retained_existentials(schema, rules)
 
-    for g in range(40):
+    # The search grounds on demand and stops at the first violating witness,
+    # so it runs fewer chases per problem: 60 problems give 530 chases, 109
+    # of which change their graph.
+    for g in range(60):
         schema, rules = generate(GeneratorConfig(0.1, 22, 20, 20, 20, 4, 10, 3, g))
         report = search(schema, rules, checked_chase, checked_violations)
         assert report == search(schema, rules, oracle_chase, oracle_violations), g
-    # 470 chases, 82 of which change their graph.
     assert len(compared) > 400 and sum(compared) > 60
 
 

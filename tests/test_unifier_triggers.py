@@ -5,12 +5,16 @@ triples unifies with the existential antecedent, the rules renamed apart.
 ``union_oracle.oracle_triggers`` keeps the earlier check, the antecedent's
 union query over the sandbox of each rule's consequent; the two must agree.
 A counting guard checks that the search runs no union query beyond those
-of its matching step.
+of its matching step. The consequent triples are bucketed by predicate:
+the trigger lists equal those of unifying every pair
+(``grounding_oracle._triggers``), with one ``_mgu`` call per pair on the
+antecedent's predicate, or per pair when that predicate is a variable.
 """
 
 from __future__ import annotations
 
 import sys
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +33,7 @@ from schemaforge import consequence, existential
 from schemaforge.consequence import lambda_for
 from schemaforge.generator import GeneratorConfig, generate
 
+from grounding_oracle import _triggers as unbucketed_triggers
 from union_oracle import oracle_triggers
 
 A, B = iri("urn:u:a"), iri("urn:u:b")
@@ -76,6 +81,27 @@ inference_rules = st.lists(
 @given(st.lists(existentials, min_size=1, max_size=3), inference_rules)
 def test_unifier_triggers_match_the_union_query(es, rules):
     assert existential._triggers(es, rules) == triggers_by_oracle(es, rules)
+
+
+@EXAMPLES
+@given(st.lists(existentials, min_size=1, max_size=3), inference_rules)
+def test_bucketed_triggers_match_every_pair_and_unify_only_on_the_predicate(es, rules):
+    calls = []
+    real = existential._mgu
+
+    def counted(t1, t2):
+        calls.append(1)
+        return real(t1, t2)
+
+    with mock.patch.object(existential, "_mgu", counted):
+        got = existential._triggers(es, rules)
+    assert got == unbucketed_triggers(es, rules)
+    consequent = [t for rule in rules for t in rule.consequent]
+    pairs = sum(
+        sum(1 for t in consequent if e.antecedent.p.is_variable or t.p == e.antecedent.p)
+        for e in es
+    )
+    assert len(calls) <= pairs
 
 
 def test_trigger_renames_the_rules_apart():

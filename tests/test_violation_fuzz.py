@@ -122,3 +122,16 @@ def test_search_is_sound_and_complete_on_small_cases(block):
         assert enumerated_violations(schema, rules) <= reported, seed
         checked += 1
     assert checked >= 15
+
+
+def test_seed_81_is_answered_with_a_checked_witness():
+    # Enumeration finds a counterexample of at most three triples here. A
+    # search that built every grounding up front raised
+    # ChaseNonterminationError on one that no existential rule needs.
+    schema, rules = random_case(81)
+    report = retained_existentials(schema, rules)
+    assert report.violated
+    for violation in report.violated:
+        assert is_instance(violation.witness, schema)
+        assert violations([violation.rule], closure(violation.witness, rules))
+        assert violation.rule in enumerated_violations(schema, rules)
