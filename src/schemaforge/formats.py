@@ -19,13 +19,17 @@ prefix map.
 
 Where a statement can begin (at the start, or after '.', '{', a comment or
 another statement), the tokenizer first tries one regular expression for a
-one-line ground statement ``term term term .`` and, on a match, emits a
-single statement token in place of the four it stands for; every other
-input is read character by character. A parser that meets a statement
-token where a statement is not expected splits it into those four tokens,
-so results and error messages are the same either way. Data graphs are
-almost all such statements; rules and schema patterns, which hold
-variables, almost never are.
+one-line ground statement ``term term term .``. On a match it goes on
+matching statements for as long as only whitespace separates them, and
+emits the whole run as one token that keeps each statement's match groups
+and line; every other input is read character by character. Where
+statements are expected (at the top of a graph or shape document, and in
+a triple block) a run turns into its triples in one loop. A parser that
+meets a run anywhere else splits it into the tokens the character path
+makes of it, so results, error messages and error lines are the same
+either way. Data graphs are almost all such statements, one long run
+between prefix declarations and comments; rules and schema patterns,
+which hold variables, almost never are.
 
 One parse builds one :class:`Term` per distinct IRI, literal and variable,
 shared by every triple it occurs in. Equality stays by value, so terms
@@ -86,6 +90,8 @@ _GAP = r"[^\S\n]*"
 _STATEMENT = re.compile(
     rf"(?:{_IRI}|{_NAME}){_GAP}(?:{_IRI}|{_NAME}){_GAP}(?:{_IRI}|{_NAME}|{_LITERAL}){_GAP}\."
 )
+# What may separate the statements of a run; ``\s`` is ``str.isspace``.
+_SPACE = re.compile(r"\s*")
 
 
 @dataclass(frozen=True)
@@ -96,26 +102,29 @@ class Token:
 
 
 @dataclass(frozen=True)
-class StatementToken(Token):
-    """A one-line ground statement, type ``STMT``: it stands for the tokens
-    of its three terms and the closing '.', all on its line. ``groups`` are
-    the :data:`_STATEMENT` match groups: IRI or name for subject and
-    predicate, IRI, name or literal for the object, unused ones None.
-    ``value`` is the subject token's value, so a message about the token
-    names what the character path would have found there."""
+class StatementRun(Token):
+    """One-line ground statements separated only by whitespace, type
+    ``RUN``: it stands for the tokens of each statement's three terms and
+    closing '.', each on its statement's line. ``statements`` holds each
+    statement's :data:`_STATEMENT` match groups (IRI or name for subject
+    and predicate, IRI, name or literal for the object, unused ones None)
+    and line. ``value`` and ``line`` are the first subject token's, so a
+    message about the run names what the character path would have found
+    there."""
 
-    groups: tuple[str | None, ...]
+    statements: tuple[tuple[tuple[str | None, ...], int], ...]
 
     def parts(self) -> list[Token]:
-        """The tokens the character path makes of the statement."""
-        s_iri, s_name, p_iri, p_name, o_iri, o_name, o_lit = self.groups
-        line = self.line
-        return [
-            _term_token(s_iri, s_name, None, line),
-            _term_token(p_iri, p_name, None, line),
-            _term_token(o_iri, o_name, o_lit, line),
-            Token("DOT", ".", line),
-        ]
+        """The tokens the character path makes of the statements."""
+        tokens = []
+        for (s_iri, s_name, p_iri, p_name, o_iri, o_name, o_lit), line in self.statements:
+            tokens += (
+                _term_token(s_iri, s_name, None, line),
+                _term_token(p_iri, p_name, None, line),
+                _term_token(o_iri, o_name, o_lit, line),
+                Token("DOT", ".", line),
+            )
+        return tokens
 
 
 def _term_token(iri_text: str | None, name: str | None, literal: str | None, line: int) -> Token:
@@ -136,7 +145,7 @@ def tokenize(text: str, source: str = "<string>") -> list[Token]:
     tokens: list[Token] = []
     i, n, line = 0, len(text), 1
     statement_may_begin = True  # at the start, after '.', '{', a comment or a statement
-    match_statement = _STATEMENT.match
+    match_statement, match_space = _STATEMENT.match, _SPACE.match
     while i < n:
         c = text[i]
         if c == "\n":
@@ -149,9 +158,15 @@ def tokenize(text: str, source: str = "<string>") -> list[Token]:
         if statement_may_begin and (c == "<" or c.isalnum() or c in "_-:"):
             m = match_statement(text, i)
             if m is not None:
-                groups = m.groups()
-                tokens.append(StatementToken("STMT", groups[0] or groups[1], line, groups))
-                i = m.end()
+                run = []
+                while m is not None:
+                    run.append((m.groups(), line))
+                    j = m.end()
+                    i = match_space(text, j).end()
+                    line += text.count("\n", j, i)
+                    m = match_statement(text, i)
+                groups, first = run[0]
+                tokens.append(StatementRun("RUN", groups[0] or groups[1], first, tuple(run)))
                 continue
         statement_may_begin = c in ".{#"
         if c == "#":
@@ -264,15 +279,15 @@ class _Parser:
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.typ == "STMT":
-            tok = self.split_statement()
+        if tok.typ == "RUN":
+            tok = self.split_run()
         if tok.typ != "EOF":
             self.pos += 1
         return tok
 
-    def split_statement(self) -> Token:
-        """Replace the statement token at the cursor by its parts, for a
-        caller that reads it token by token; returns the first part."""
+    def split_run(self) -> Token:
+        """Replace the run at the cursor by its parts, for a caller that
+        reads it token by token; returns the first part."""
         tok = self.tokens[self.pos]
         self.tokens[self.pos : self.pos + 1] = tok.parts()
         return self.tokens[self.pos]
@@ -293,8 +308,8 @@ class _Parser:
 
     def at_keyword(self, word: str) -> bool:
         tok = self.peek()
-        if tok.typ == "STMT" and tok.value == word:
-            tok = self.split_statement()
+        if tok.typ == "RUN" and tok.value == word:
+            tok = self.split_run()
         return tok.typ == "WORD" and tok.value == word
 
     def parse_prefix_decl(self) -> None:
@@ -319,22 +334,22 @@ class _Parser:
             term = self._literals[lexical] = lit(lexical)
         return term
 
-    def name(self, tok: Token, name: str) -> Term:
-        """A prefixed name or bare word read from ``tok``."""
+    def name(self, name: str, line: int) -> Term:
+        """A prefixed name or bare word read on ``line``."""
         term = self._names.get(name)
         if term is not None:
             return term
         if ":" in name:
             prefix, _, local = name.partition(":")
             if prefix not in self.prefixes:
-                raise self.error(f"unknown prefix {prefix + ':'!r}", tok)
+                raise ParseError(f"unknown prefix {prefix + ':'!r}", self.source, line)
             term = self.iri(self.prefixes[prefix] + local)
         elif name == "a":
             term = RDF_TYPE
         elif name in ("true", "false") or name.isdigit():
             term = self.literal(name)
         else:
-            raise self.error(f"unexpected word {name!r}", tok)
+            raise ParseError(f"unexpected word {name!r}", self.source, line)
         self._names[name] = term
         return term
 
@@ -349,7 +364,7 @@ class _Parser:
                 raise self.error("empty IRI", tok)
             return self.iri(tok.value)
         if tok.typ in ("PNAME", "WORD"):
-            return self.name(tok, tok.value)
+            return self.name(tok.value, tok.line)
         if tok.typ == "STRING":
             if not tok.value:
                 raise self.error("empty literal", tok)
@@ -379,19 +394,31 @@ class _Parser:
             return self.make_list(items)
         raise self.error(f"expected a term, found {tok.value!r}", tok)
 
-    def statement_triple(self, tok: StatementToken) -> Triple:
-        """The triple of a statement token; its terms resolve, and fail, as
-        :meth:`parse_term` resolves them one by one."""
-        s_iri, s_name, p_iri, p_name, o_iri, o_name, o_lit = tok.groups
-        s = self.iri(s_iri) if s_iri is not None else self.name(tok, s_name)
-        p = self.iri(p_iri) if p_iri is not None else self.name(tok, p_name)
-        if o_iri is not None:
-            o = self.iri(o_iri)
-        elif o_name is not None:
-            o = self.name(tok, o_name)
-        else:
-            o = self.literal(_unescape(o_lit))
-        return Triple(s, p, o)
+    def run_triples(self, run: StatementRun) -> list[Triple]:
+        """The triples of a run's statements, in one loop. Terms resolve,
+        and fail, as :meth:`parse_term` resolves them one by one; the term
+        tables are probed inline, since nearly every name repeats."""
+        iris, names, literals = self._iris, self._names, self._literals
+        triples = []
+        for (s_iri, s_name, p_iri, p_name, o_iri, o_name, o_lit), line in run.statements:
+            if s_iri is not None:
+                s = iris.get(s_iri) or self.iri(s_iri)
+            else:
+                s = names.get(s_name) or self.name(s_name, line)
+            if p_iri is not None:
+                p = iris.get(p_iri) or self.iri(p_iri)
+            else:
+                p = names.get(p_name) or self.name(p_name, line)
+            if o_iri is not None:
+                o = iris.get(o_iri) or self.iri(o_iri)
+            elif o_name is not None:
+                o = names.get(o_name) or self.name(o_name, line)
+            else:
+                o = literals.get(o_lit) if "\\" not in o_lit else None
+                if o is None:
+                    o = self.literal(_unescape(o_lit))
+            triples.append(Triple(s, p, o))
+        return triples
 
     def make_list(self, items: list[Term]) -> Term:
         head: Term = RDF_NIL
@@ -421,9 +448,9 @@ class _Parser:
 
     def parse_statement(self) -> list[Triple]:
         tok = self.peek()
-        if tok.typ == "STMT":
+        if tok.typ == "RUN":
             self.pos += 1
-            return [self.statement_triple(tok)]
+            return self.run_triples(tok)
         before = len(self.extra_triples)
         subject = self.parse_term()
         self.parse_predicate_object_list(subject)
@@ -442,9 +469,9 @@ class _Parser:
             if tok.typ == "RBRACE":
                 self.next()
                 return triples
-            if tok.typ == "STMT":
+            if tok.typ == "RUN":
                 self.pos += 1
-                triples.append(self.statement_triple(tok))
+                triples.extend(self.run_triples(tok))
                 continue
             before = len(self.extra_triples)
             subject = self.parse_term()

@@ -19,16 +19,28 @@ lazily, in rule order and then mapping order, for the violation check and
 for the chase that repairs them; a rule whose antecedent predicate is a
 constant the graph lacks is skipped without a lookup.
 
-Instance checks, normalisation and origin lookups ask which schema
-patterns can cover a triple. They ask a :class:`PatternIndex`, which
-buckets patterns by their constant signature: the pattern's constants,
-with None at each variable position. A query triple (ground, sandboxed, or
-itself a pattern) returns exactly the indexed patterns whose constants all
-equal the query's term at the same position; a variable of the query is
-matched only by a variable of the pattern. The answer costs at most 8 dict
-probes, one per subset of the query's constant positions. Callers then run
-their exact per-pair test (literal placement, the no-literal set) on those
-candidates only.
+A pattern's constant signature is its constants, with None at each
+variable position; its mask is the set of its constant positions.
+Normalisation and origin lookups ask which schema patterns can cover a
+triple. They ask a :class:`PatternIndex`, which buckets patterns by
+signature. A query triple (ground, sandboxed, or itself a pattern) returns
+exactly the indexed patterns whose constants all equal the query's term at
+the same position; a variable of the query is matched only by a variable
+of the pattern. The answer costs at most 8 dict probes, one per subset of
+the query's constant positions. Callers then run their exact per-pair test
+(literal placement, the no-literal set) on those candidates only.
+
+Instance checks ask only whether some pattern covers a triple. They ask
+the schema's coverage table: for a non-literal object, each mask that
+occurs with the signatures under it; for a literal object, the same for
+the patterns that admit one (a constant object, or an object variable
+outside the no-literal set). A triple with no literal at subject or
+predicate is covered iff its projection on some mask of its object kind's
+table is one of that mask's signatures: one set lookup per mask, at most
+8. The schema's invariants make that exact with no per-pair test: each
+variable occurs once, so no pattern asks two positions to agree; subject
+and predicate variables are no-literal and valid patterns hold no literal
+there, so a literal subject or predicate is covered by nothing.
 """
 
 from __future__ import annotations
@@ -40,10 +52,12 @@ from typing import Iterable, Iterator
 
 from .errors import SchemaError
 from .terms import (
+    LITERAL,
     Graph,
     Mapping,
     Term,
     Triple,
+    _key_getter,
     is_valid_pattern,
     iri,
     lit,
@@ -68,6 +82,11 @@ class PatternIndex:
         choices = [(None,) if term.is_variable else (term, None) for term in query]
         for key in product(*choices):
             yield from self._buckets.get(key, ())
+
+
+# A triple's terms at a mask's positions (1 subject, 2 predicate, 4
+# object): a bare term for one, a tuple for more, () for none.
+_PROJECTIONS = {0: lambda t: (), **{mask: _key_getter(mask) for mask in range(1, 8)}}
 
 
 @dataclass(frozen=True)
@@ -175,6 +194,23 @@ class TriplestoreSchema:
         """The schema graph's patterns by constant signature, built on first use."""
         return PatternIndex(self.graph)
 
+    @cached_property
+    def coverage(self) -> tuple[tuple, tuple]:
+        """The coverage table (see the module notes), built on first use:
+        for a non-literal and for a literal object, the projection onto
+        each mask that occurs and the signatures under it, projected alike."""
+        halves: tuple[dict[int, set], dict[int, set]] = ({}, {})
+        for t in self.graph:
+            mask = sum(1 << i for i, term in enumerate(t) if term.is_constant)
+            key = _PROJECTIONS[mask](t)
+            halves[0].setdefault(mask, set()).add(key)
+            if t.o.is_constant or t.o.lexical not in self.no_literal:
+                halves[1].setdefault(mask, set()).add(key)
+        return tuple(
+            tuple((_PROJECTIONS[mask], frozenset(keys)) for mask, keys in sorted(half.items()))
+            for half in halves
+        )
+
 
 def triple_instantiates(t: Triple, pattern: Triple, delta: frozenset[str] | set[str]) -> bool:
     """True iff some mapping sends the pattern to ``t`` without binding a
@@ -195,7 +231,15 @@ def triple_instantiates(t: Triple, pattern: Triple, delta: frozenset[str] | set[
 
 
 def instantiates_some(t: Triple, schema: TriplestoreSchema) -> bool:
-    return any(triple_instantiates(t, p, schema.no_literal) for p in schema.index.candidates(t))
+    """Whether ``t`` instantiates some schema pattern: a lookup per mask in
+    the schema's coverage table (see the module notes)."""
+    s, p, o = t
+    if s[0] == LITERAL or p[0] == LITERAL:  # the terms' kinds
+        return False
+    for project, signatures in schema.coverage[o[0] == LITERAL]:
+        if project(t) in signatures:
+            return True
+    return False
 
 
 def _probe(pattern: Triple) -> tuple[tuple, tuple]:

@@ -15,6 +15,12 @@ lexical form alone.
 Terms, triples and mappings are tuples, so they hash, compare, unpack and
 pickle as tuples do.
 
+A graph indexes its triples lazily, per mask of bound positions. Lookups
+with subject and predicate, or predicate and object, bound go to a small
+index of the predicate's triples alone, built on the first such lookup, so
+closing a large data graph under rules that probe a few predicates indexes
+only those predicates' triples.
+
 Everything here is immutable and safe to share, but for a graph that its
 builder grows in place with :meth:`Graph.insert` and hands out only once
 frozen. The one stateful object is :class:`FreshNames`, which hands out
@@ -124,7 +130,8 @@ class Triple(NamedTuple):
 
 def is_valid_triple(t: Triple) -> bool:
     """Ground and RDF-valid: literals may appear in the object position only."""
-    return t.s.is_iri and t.p.is_iri and (t.o.is_iri or t.o.is_literal)
+    s, p, o = t
+    return s[0] == IRI and p[0] == IRI and o[0] != VARIABLE  # the terms' kinds
 
 
 def is_valid_pattern(t: Triple) -> bool:
@@ -197,21 +204,29 @@ def _key_getter(mask: int) -> itemgetter:
     return itemgetter(*(i for i in range(3) if mask >> i & 1))
 
 
-# A fully bound probe is a membership test and needs no index.
-_KEY_GETTERS = {mask: _key_getter(mask) for mask in range(1, 7)}
+# A fully bound probe is a membership test and needs no index; the masks
+# (s, p) and (p, o) go to the predicate partitions below.
+_KEY_GETTERS = {mask: _key_getter(mask) for mask in (1, 2, 4, 5)}
+
+
+# The masks whose lookups go to a predicate's partition, with the position
+# that keys the partition: (s, p) by subject, (p, o) by object.
+_PARTITIONED = {3: 0, 6: 2}
 
 
 class Graph:
     """An immutable set of ground RDF-valid triples with positional indexes.
 
-    There is one index per mask of bound positions, built lazily on the
-    first lookup with that mask, which keeps construction cheap for graphs
-    that are only ever iterated. The one exception to immutability is
-    :meth:`insert`, for the closure and the chase, which grow a graph of
-    their own and never hand it out unfrozen.
+    Indexes are built lazily, on the first lookup that needs them, which
+    keeps construction cheap for graphs that are only ever iterated: one
+    per mask of bound positions, except that (s, p) and (p, o) get one per
+    probed predicate, built from its bucket of the predicate index (see the
+    module notes). The one exception to immutability is :meth:`insert`,
+    for the closure and the chase, which grow a graph of their own and
+    never hand it out unfrozen.
     """
 
-    __slots__ = ("triples", "_idx")
+    __slots__ = ("triples", "_idx", "_parts")
 
     def __init__(self, triples: Iterable[Triple] = (), validate: bool = True):
         ts = frozenset(triples)
@@ -221,6 +236,7 @@ class Graph:
                     raise SchemaError(f"not a valid RDF triple: {t!r}")
         object.__setattr__(self, "triples", ts)
         object.__setattr__(self, "_idx", {})
+        object.__setattr__(self, "_parts", {})  # (mask, predicate) -> partition
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -254,6 +270,11 @@ class Graph:
             return [t] if t in self.triples else []
         if not mask:
             return list(self.triples)
+        if mask == 3 or mask == 6:
+            part = self._parts.get((mask, p))
+            if part is None:
+                part = self._partition(mask, p)
+            return part.get(o if mask == 6 else s, [])
         key = _KEY_GETTERS[mask]
         index = self._idx.get(mask)
         if index is None:
@@ -269,16 +290,29 @@ class Graph:
                 index.setdefault(key(t), []).append(t)
         return index
 
+    def _partition(self, mask: int, p: Term) -> dict:
+        """The index of predicate ``p``'s triples for a partitioned mask,
+        by subject or by object. None is kept for a predicate the graph
+        lacks: an insert on it makes the bucket a later lookup partitions."""
+        bucket = self._index(2).get(p)
+        if bucket is None:
+            return {}
+        pos = _PARTITIONED[mask]
+        part = self._parts[mask, p] = {}
+        for t in bucket:
+            part.setdefault(t[pos], []).append(t)
+        return part
+
     def predicates(self) -> KeysView[Term]:
         """The distinct predicates: the keys of the predicate index."""
         return self._index(2).keys()
 
     def insert(self, t: Triple) -> bool:
         """Add a ground triple in place, to the triples and to every index
-        built so far; False if it was there. Only for a graph its builder
-        has not handed out: the first insert turns ``triples`` into a set,
-        so the graph no longer hashes, and lists that :meth:`match`
-        returned grow with the indexes."""
+        and predicate partition built so far; False if it was there. Only
+        for a graph its builder has not handed out: the first insert turns
+        ``triples`` into a set, so the graph no longer hashes, and lists
+        that :meth:`match` returned grow with the indexes."""
         if t in self.triples:
             return False
         if isinstance(self.triples, frozenset):
@@ -286,6 +320,11 @@ class Graph:
         self.triples.add(t)
         for mask, index in self._idx.items():
             index.setdefault(_KEY_GETTERS[mask](t), []).append(t)
+        if self._parts:
+            for mask, pos in _PARTITIONED.items():
+                part = self._parts.get((mask, t[1]))
+                if part is not None:
+                    part.setdefault(t[pos], []).append(t)
         return True
 
     def freeze(self) -> "Graph":

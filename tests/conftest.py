@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from schemaforge import ExistentialRule, Graph, InferenceRule, Triple, TriplestoreSchema, iri, lit, var
@@ -141,3 +143,24 @@ def cyclic_chase_problem() -> tuple[TriplestoreSchema, list[InferenceRule]]:
     no_literal = [t.s.lexical for t in patterns] + [t.o.lexical for t in patterns]
     rules = [InferenceRule.of([Triple(var("a"), p, var("b"))], [Triple(var("a"), q, var("b"))], "lift")]
     return TriplestoreSchema.of(patterns, no_literal, existentials), rules
+
+
+def generated_instance(schema, per_pattern: int = 5, pool: int = 10, seed: int = 0) -> Graph:
+    """Random instantiations of every schema pattern over a small pool of
+    IRIs and literals; literals go only where the schema allows them."""
+    rng = random.Random(seed)
+    iris = [iri(f"urn:inst:i{i}") for i in range(pool)]
+    lits = [lit(f"l{i}") for i in range(pool)]
+    triples = set()
+    for pattern in schema.sorted_patterns():
+        for _ in range(per_pattern):
+            values = []
+            for pos, term in enumerate(pattern):
+                if term.is_constant:
+                    values.append(term)
+                elif pos == 2 and term.lexical not in schema.no_literal and rng.random() < 0.5:
+                    values.append(rng.choice(lits))
+                else:
+                    values.append(rng.choice(iris))
+            triples.add(Triple(*values))
+    return Graph(triples)

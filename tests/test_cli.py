@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
+from schemaforge import Triple, TriplestoreSchema, iri, lit, triple_instantiates
 from schemaforge.cli import main
-from schemaforge.formats import parse_graph, parse_schema, serialize_rules, serialize_schema
+from schemaforge.formats import (
+    parse_graph,
+    parse_schema,
+    serialize_graph,
+    serialize_rules,
+    serialize_schema,
+)
+from schemaforge.generator import GeneratorConfig, generate
 
-from conftest import cyclic_chase_problem
+from conftest import cyclic_chase_problem, generated_instance
 
 DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
@@ -181,3 +191,43 @@ def test_duplicate_rule_names_exit_2(tmp_path, capsys):
     rules.write_text(text)
     assert main(["consequence", "--existential", "-s", SCHEMA, "-r", str(rules)]) == 2
     assert "duplicate rule name 'r1'" in capsys.readouterr().err
+
+
+# --- validate on a generated instance ------------------------------------------
+
+
+def validate_verdict(tmp_path, schema, graph) -> str:
+    schema_path, graph_path = tmp_path / "v.schema", tmp_path / "v.nt"
+    schema_path.write_text(serialize_schema(schema))
+    graph_path.write_text(serialize_graph(graph))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["validate", "-s", str(schema_path), "-g", str(graph_path)]) == 0
+    return out.getvalue()
+
+
+def test_validate_turns_away_a_planted_triple(tmp_path):
+    # The shape of the benchmark's instance check, at a small size. Its
+    # benchmark run only ever sees valid instances, so this one plants an
+    # uncovered triple: one on a predicate no pattern has, and one with a
+    # literal under an object variable of the no-literal set.
+    schema, _ = generate(GeneratorConfig(0.1, 33, 30, 30, 30, 3, 0, 2, 0))
+    graph = generated_instance(schema)
+    assert validate_verdict(tmp_path, schema, graph) == "valid\n"
+
+    stray = Triple(iri("urn:inst:s"), iri("urn:inst:no-such-predicate"), iri("urn:inst:o"))
+    assert not any(triple_instantiates(stray, p, schema.no_literal) for p in schema.graph)
+    assert validate_verdict(tmp_path, schema, graph.union([stray])) == "invalid\n"
+
+    for pattern in schema.sorted_patterns():
+        if pattern.o.is_variable and pattern.s.is_variable:
+            strict = TriplestoreSchema.of(schema.graph, schema.no_literal | {pattern.o.lexical})
+            planted = Triple(iri("urn:inst:i0"), pattern.p, lit("planted"))
+            if not any(triple_instantiates(planted, p, strict.no_literal) for p in strict.graph):
+                break
+    else:
+        raise AssertionError("no pattern to plant a literal under")
+    assert triple_instantiates(Triple(planted.s, planted.p, iri("urn:inst:i1")), pattern, strict.no_literal)
+    strict_graph = generated_instance(strict)
+    assert validate_verdict(tmp_path, strict, strict_graph) == "valid\n"
+    assert validate_verdict(tmp_path, strict, strict_graph.union([planted])) == "invalid\n"

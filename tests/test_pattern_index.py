@@ -2,9 +2,11 @@
 
 Each lookup that goes through :class:`PatternIndex` is checked against a
 brute-force scan over every schema pattern: normalisation against the
-all-pairs subsumption loop, origin lookups against the positionwise test
-on every pattern, and instance checks against ``triple_instantiates`` on
-every pattern. The scans live here only, as oracles.
+all-pairs subsumption loop and origin lookups against the positionwise
+test on every pattern. Instance checks, which ask the schema's coverage
+table instead (see ``test_coverage.py``), are checked against
+``triple_instantiates`` on every pattern here too. The scans live here
+only, as oracles.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Statement tokens, per-parse term sharing and the cached term writer.
 
-The tokenizer reads a one-line ground statement as one token, and the
+The tokenizer reads one-line ground statements as one run token, and the
 parser builds one ``Term`` per distinct name of a parse. Neither may change
 what a parse returns or how it fails: every parser is compared here with
 the character-by-character oracle in ``parse_oracle``, on statement-shaped
