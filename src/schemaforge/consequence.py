@@ -41,7 +41,7 @@ from typing import Collection, Iterable, Iterator, Sequence
 from .errors import CriticalInstanceTooLargeError
 from .eval import BudgetClock, evaluate_bgp, evaluate_union_query
 from .rules import InferenceRule
-from .schema import TriplestoreSchema, normalize_schema, triple_instantiates
+from .schema import TriplestoreSchema, normalize_schema
 from .terms import (
     FreshNames,
     Graph,
@@ -133,11 +133,11 @@ def build_critical(
 
 
 def find_origin_patterns(t: Triple, schema: TriplestoreSchema) -> set[Triple]:
-    """Schema patterns a canonical-instance triple can arise from: the
-    candidates the pattern index returns that ``t`` instantiates under the
-    no-literal rule (any IRI, placeholder included, for a variable; a
-    literal only for an object variable outside the no-literal set)."""
-    return {p for p in schema.index.candidates(t) if triple_instantiates(t, p, schema.no_literal)}
+    """Schema patterns a canonical-instance triple can arise from: those
+    ``t`` instantiates under the no-literal rule (any IRI, placeholder
+    included, for a variable; a literal only for an object variable outside
+    the no-literal set), read off the schema's pattern index."""
+    return set(schema.index.covering(t))
 
 
 @dataclass(frozen=True)
@@ -164,16 +164,17 @@ def filter_and_annotate(
     The temporary no-literal set starts with every rule variable occurring
     in subject or predicate position of the antecedent or consequent. Each
     antecedent object position is then checked against the schema patterns
-    that enabled the match: a literal with no origin permitting it rejects
-    the mapping, and a placeholder-bound variable whose origins all forbid
-    literals joins the temporary set. Finally a mapping binding any
-    temporary-set variable to a literal is rejected.
+    that enabled the match: a literal with no origin rejects the mapping,
+    and a placeholder-bound variable whose origins all forbid literals
+    joins the temporary set. Finally a mapping binding any temporary-set
+    variable to a literal is rejected.
 
     The enabling patterns are the origins of each antecedent triple's
-    ground image. For a mapping binding every antecedent variable, which is
-    what every caller in the package passes, these are the patterns whose
-    canonical triples the triple matched, except for no-literal object
-    variables under a literal, which never permit one.
+    ground image, which the pattern index returns only if they admit its
+    object. For a mapping binding every antecedent variable, which is what
+    every caller in the package passes, these are the patterns whose
+    canonical triples the triple matched, less those with a no-literal
+    object variable under a literal.
     """
     antecedent = sorted(antecedent, key=Triple.sort_key)
     delta_m = {term.lexical for t in (*antecedent, *consequent) for term in (t.s, t.p) if term.is_variable}
@@ -185,11 +186,7 @@ def filter_and_annotate(
         obj = t_a.o
         value = image.o
         if value.is_literal:
-            permitted = any(
-                o.o == value or (o.o.is_variable and o.o.lexical not in schema.no_literal)
-                for o in origins
-            )
-            if not permitted:
+            if not origins:
                 return None
         elif obj.is_variable and value == lam:
             if not any(o.o.is_variable and o.o.lexical not in schema.no_literal for o in origins):

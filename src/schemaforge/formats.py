@@ -552,13 +552,13 @@ def parse_rules(text: str, source: str = "<rules>") -> tuple[list[InferenceRule]
 
 
 def parse_schema(text: str, source: str = "<schema>") -> tuple[TriplestoreSchema, dict[str, str]]:
-    p = _Parser(tokenize(text, source), source, allow_vars=True)
+    # A comment carries nothing in a schema file, so none reaches the parser.
+    p = _Parser([tok for tok in tokenize(text, source) if tok.typ != "COMMENT"], source, allow_vars=True)
     patterns: list[Triple] = []
     no_literal: set[str] = set()
     existentials: list[ExistentialRule] = []
     seen_graph = False
     while True:
-        p.skip_comments()
         tok = p.peek()
         if tok.typ == "EOF":
             break
@@ -581,14 +581,14 @@ def parse_schema(text: str, source: str = "<schema>") -> tuple[TriplestoreSchema
             p.next()
             p.expect("LBRACE", "'{'")
             while p.peek().typ != "RBRACE":
-                p.skip_comments()
+                first = p.peek()
                 a = Triple(p.parse_term(), p.parse_term(), p.parse_term())
                 p.expect("ARROW", "'=>'")
                 c = Triple(p.parse_term(), p.parse_term(), p.parse_term())
                 try:
                     existentials.append(ExistentialRule(a, c))
                 except Exception as exc:
-                    raise ParseError(str(exc), source, tok.line) from exc
+                    raise ParseError(str(exc), source, first.line) from exc
                 if p.peek().typ == "SEMI":
                     p.next()
             p.next()  # RBRACE

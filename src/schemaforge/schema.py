@@ -20,27 +20,22 @@ for the chase that repairs them; a rule whose antecedent predicate is a
 constant the graph lacks is skipped without a lookup.
 
 A pattern's constant signature is its constants, with None at each
-variable position; its mask is the set of its constant positions.
-Normalisation and origin lookups ask which schema patterns can cover a
-triple. They ask a :class:`PatternIndex`, which buckets patterns by
-signature. A query triple (ground, sandboxed, or itself a pattern) returns
-exactly the indexed patterns whose constants all equal the query's term at
-the same position; a variable of the query is matched only by a variable
-of the pattern. The answer costs at most 8 dict probes, one per subset of
-the query's constant positions. Callers then run their exact per-pair test
-(literal placement, the no-literal set) on those candidates only.
-
-Instance checks ask only whether some pattern covers a triple. They ask
-the schema's coverage table: for a non-literal object, each mask that
-occurs with the signatures under it; for a literal object, the same for
-the patterns that admit one (a constant object, or an object variable
-outside the no-literal set). A triple with no literal at subject or
-predicate is covered iff its projection on some mask of its object kind's
-table is one of that mask's signatures: one set lookup per mask, at most
-8. The schema's invariants make that exact with no per-pair test: each
-variable occurs once, so no pattern asks two positions to agree; subject
-and predicate variables are no-literal and valid patterns hold no literal
-there, so a literal subject or predicate is covered by nothing.
+variable position; its mask is the set of its constant positions. Every
+lookup of the patterns a triple can instantiate asks the schema's
+:class:`PatternIndex`. For each mask that occurs it maps the projection of
+a signature onto the mask to the patterns under it, in two tables: one of
+every pattern, one of the patterns that admit a literal object (a constant
+object, or an object variable outside the no-literal set). A query triple
+(ground, sandboxed, or itself a pattern) is projected onto each mask and
+looked up, at most 8 dict probes: a query variable at a pattern's constant
+position projects to a key no pattern has, so it is matched only by a
+variable. Normalisation takes the hits of the first table. Origins and
+instance checks take those of the table for the query's object kind, which
+the schema's invariants make exactly the patterns the triple instantiates,
+with no per-pair test: each variable occurs once, so no pattern asks two
+positions to agree; subject and predicate variables are no-literal and
+valid patterns hold no literal there, so a literal subject or predicate is
+covered by nothing.
 """
 
 from __future__ import annotations
@@ -48,11 +43,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .errors import SchemaError
 from .terms import (
     LITERAL,
+    VARIABLE,
     Graph,
     Mapping,
     Term,
@@ -67,21 +63,40 @@ from .terms import (
 
 
 class PatternIndex:
-    """Triple patterns bucketed by constant signature (see the module notes)."""
+    """Triple patterns by projected constant signature (see the module notes)."""
 
-    __slots__ = ("_buckets",)
+    __slots__ = ("_tables",)
 
-    def __init__(self, patterns: Iterable[Triple]) -> None:
-        self._buckets: dict[tuple, list[Triple]] = {}
+    def __init__(self, patterns: Iterable[Triple], no_literal: Collection[str]) -> None:
+        every: dict[int, dict] = {}
+        literal: dict[int, dict] = {}
         for t in patterns:
-            signature = tuple(None if term.is_variable else term for term in t)
-            self._buckets.setdefault(signature, []).append(t)
+            s, p, o = t  # kinds read as tuple items, not properties: this runs per pattern
+            mask = (s[0] != VARIABLE) | (p[0] != VARIABLE) << 1 | (o[0] != VARIABLE) << 2
+            key = _PROJECTIONS[mask](t)
+            every.setdefault(mask, {}).setdefault(key, []).append(t)
+            if o[0] != VARIABLE or o[1] not in no_literal:
+                literal.setdefault(mask, {}).setdefault(key, []).append(t)
+        self._tables = tuple(
+            tuple((_PROJECTIONS[mask], buckets) for mask, buckets in sorted(table.items()))
+            for table in (every, literal)
+        )
 
     def candidates(self, query: Triple) -> Iterator[Triple]:
         """Every indexed pattern whose constants agree with ``query`` positionwise."""
-        choices = [(None,) if term.is_variable else (term, None) for term in query]
-        for key in product(*choices):
-            yield from self._buckets.get(key, ())
+        for project, buckets in self._tables[0]:
+            yield from buckets.get(project(query), ())
+
+    def _table(self, t: Triple) -> tuple:
+        """The table for ``t``'s object kind, or none for a literal subject or predicate."""
+        s, p, o = t
+        if s[0] == LITERAL or p[0] == LITERAL:
+            return ()
+        return self._tables[o[0] == LITERAL]
+
+    def covering(self, t: Triple) -> list[Triple]:
+        """The indexed patterns ``t`` instantiates under the no-literal rule."""
+        return [q for project, buckets in self._table(t) for q in buckets.get(project(t), ())]
 
 
 # A triple's terms at a mask's positions (1 subject, 2 predicate, 4
@@ -191,25 +206,8 @@ class TriplestoreSchema:
 
     @cached_property
     def index(self) -> PatternIndex:
-        """The schema graph's patterns by constant signature, built on first use."""
-        return PatternIndex(self.graph)
-
-    @cached_property
-    def coverage(self) -> tuple[tuple, tuple]:
-        """The coverage table (see the module notes), built on first use:
-        for a non-literal and for a literal object, the projection onto
-        each mask that occurs and the signatures under it, projected alike."""
-        halves: tuple[dict[int, set], dict[int, set]] = ({}, {})
-        for t in self.graph:
-            mask = sum(1 << i for i, term in enumerate(t) if term.is_constant)
-            key = _PROJECTIONS[mask](t)
-            halves[0].setdefault(mask, set()).add(key)
-            if t.o.is_constant or t.o.lexical not in self.no_literal:
-                halves[1].setdefault(mask, set()).add(key)
-        return tuple(
-            tuple((_PROJECTIONS[mask], frozenset(keys)) for mask, keys in sorted(half.items()))
-            for half in halves
-        )
+        """The schema graph's pattern index, built on first use."""
+        return PatternIndex(self.graph, self.no_literal)
 
 
 def triple_instantiates(t: Triple, pattern: Triple, delta: frozenset[str] | set[str]) -> bool:
@@ -232,12 +230,9 @@ def triple_instantiates(t: Triple, pattern: Triple, delta: frozenset[str] | set[
 
 def instantiates_some(t: Triple, schema: TriplestoreSchema) -> bool:
     """Whether ``t`` instantiates some schema pattern: a lookup per mask in
-    the schema's coverage table (see the module notes)."""
-    s, p, o = t
-    if s[0] == LITERAL or p[0] == LITERAL:  # the terms' kinds
-        return False
-    for project, signatures in schema.coverage[o[0] == LITERAL]:
-        if project(t) in signatures:
+    the schema's pattern index (see the module notes), stopping at the first hit."""
+    for project, buckets in schema.index._table(t):
+        if project(t) in buckets:
             return True
     return False
 
@@ -442,7 +437,7 @@ def normalize_schema(schema: TriplestoreSchema) -> TriplestoreSchema:
     # Index the deduplicated patterns only: indexing the input graph would
     # let a pattern be found subsumed by one of its own renamed duplicates.
     unique = list(by_key.values())
-    index = PatternIndex(unique)
+    index = PatternIndex(unique, delta)
     kept = [
         p
         for p in unique

@@ -1,12 +1,14 @@
-"""Coverage by signature sets against the per-pair instance test.
+"""Instance coverage and origins from the pattern index, against the
+per-pair instance test.
 
-``instantiates_some`` answers from the schema's coverage table: one set
-lookup per signature mask, with no per-pair test. It is compared here with
-``triple_instantiates`` on every schema pattern, and with the lookup it
-replaced (the pattern index's candidates, each put through the per-pair
-test), kept below as an oracle. Inputs include what the table must turn
-away: literal objects under no-literal variables, literal subjects and
-predicates, and variable terms in graphs built without validation.
+``instantiates_some`` and ``find_origin_patterns`` answer from the schema's
+pattern index: one dict probe per signature mask, in the table for the
+triple's object kind, with no per-pair test. They are compared here with
+``triple_instantiates`` on every schema pattern, and with the index's
+unfiltered candidates each put through the per-pair test, kept below as an
+oracle. Inputs include what the index must turn away: literal objects
+under no-literal variables, literal subjects and predicates, and variable
+terms in graphs built without validation.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from schemaforge import (
     Graph,
     Triple,
     TriplestoreSchema,
+    find_origin_patterns,
     iri,
     is_instance,
     lit,
@@ -44,13 +47,17 @@ QUERY_TERMS = IRIS + LITS + [iri("urn:cv:probe"), lit("probe"), var("q"), var("v
 # --- oracles -------------------------------------------------------------------
 
 
+def scan_origins(t: Triple, schema: TriplestoreSchema) -> set[Triple]:
+    return {p for p in schema.graph if triple_instantiates(t, p, schema.no_literal)}
+
+
 def scan_instantiates_some(t: Triple, schema: TriplestoreSchema) -> bool:
     return any(triple_instantiates(t, p, schema.no_literal) for p in schema.graph)
 
 
 def index_instantiates_some(t: Triple, schema: TriplestoreSchema) -> bool:
-    """The lookup the coverage table replaced: the pattern index's
-    candidates, each put through the per-pair test."""
+    """The index's constant-compatible candidates, each put through the
+    per-pair test."""
     return any(triple_instantiates(t, p, schema.no_literal) for p in schema.index.candidates(t))
 
 
@@ -130,12 +137,17 @@ def test_edge_cases_of_the_coverage_table():
     for t, expected in cases.items():
         assert scan_instantiates_some(t, schema) == expected, t
         assert instantiates_some(t, schema) == expected, t
+        assert find_origin_patterns(t, schema) == scan_origins(t, schema), t
     # A schema with an all-variable pattern covers every triple without a
     # literal at subject or predicate, and the empty schema covers none.
     wildcard = TriplestoreSchema.of([Triple(var("x"), var("y"), var("z"))], {"x", "y"})
-    assert instantiates_some(Triple(a, b, lit("9")), wildcard)
-    assert not instantiates_some(Triple(lit("9"), b, a), wildcard)
-    assert not instantiates_some(Triple(a, b, a), TriplestoreSchema.of([]))
+    for t, target, expected in [
+        (Triple(a, b, lit("9")), wildcard, True),
+        (Triple(lit("9"), b, a), wildcard, False),
+        (Triple(a, b, a), TriplestoreSchema.of([]), False),
+    ]:
+        assert instantiates_some(t, target) == expected, t
+        assert find_origin_patterns(t, target) == scan_origins(t, target), t
 
 
 def test_is_instance_matches_the_oracle_on_generated_chase_outputs():

@@ -129,3 +129,35 @@ def test_variables_rejected_in_ground_graphs():
 def test_schema_sections_optional():
     schema, _ = parse_schema("GRAPH { <urn:a> <urn:p> <urn:b> . }")
     assert not schema.no_literal and not schema.existentials
+
+
+def test_comments_inside_nolit_and_exists_blocks():
+    text = (
+        "GRAPH { ?s <urn:p> ?o . }\n"
+        "NOLIT { # subject and object\n"
+        "  ?s # the subject\n"
+        "  ?o\n"
+        "  # nothing more\n"
+        "}\n"
+        "EXISTS { # one rule\n"
+        "  ?a <urn:p> ?b => ?b <urn:q> ?c ;\n"
+        "  # a trailing comment\n"
+        "}\n"
+    )
+    schema, _ = parse_schema(text)
+    assert schema.no_literal == {"s", "o"}
+    assert len(schema.existentials) == 1
+
+
+def test_ill_formed_existential_rule_reports_its_own_line():
+    text = (
+        "GRAPH { ?s <urn:p> ?o . }\n"
+        "NOLIT { ?s }\n"
+        "EXISTS {\n"
+        "  ?a <urn:p> ?b => ?b <urn:q> ?c ;\n"
+        '  ?a <urn:p> ?b => "lit" <urn:q> ?c ;\n'
+        "}\n"
+    )
+    with pytest.raises(ParseError) as err:
+        parse_schema(text, "bad.schema")
+    assert str(err.value).startswith("bad.schema:5: ")

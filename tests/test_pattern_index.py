@@ -1,15 +1,17 @@
 """The pattern index answers exactly what a linear scan over the schema does.
 
 Each lookup that goes through :class:`PatternIndex` is checked against a
-brute-force scan over every schema pattern: normalisation against the
-all-pairs subsumption loop and origin lookups against the positionwise
-test on every pattern. Instance checks, which ask the schema's coverage
-table instead (see ``test_coverage.py``), are checked against
-``triple_instantiates`` on every pattern here too. The scans live here
-only, as oracles.
+brute-force scan over every schema pattern: normalisation (the index's
+candidates) against the all-pairs subsumption loop, and origin lookups and
+instance checks (the index's per-object-kind tables) against the
+positionwise test and ``triple_instantiates`` on every pattern. The scans
+live here and in ``test_coverage.py`` only, as oracles: a guard below
+checks that the lookups themselves make no per-pair test.
 """
 
 from __future__ import annotations
+
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,17 +144,17 @@ def test_instantiates_some_matches_scan(schema, batch):
 @EXAMPLES
 @given(schemas(), queries)
 def test_candidates_are_the_constant_compatible_patterns(schema, t):
-    got = list(PatternIndex(schema.graph).candidates(t))
+    got = list(PatternIndex(schema.graph, schema.no_literal).candidates(t))
     expected = {
         p for p in schema.graph if all(pt.is_variable or pt == qt for pt, qt in zip(p, t))
     }
     assert len(got) == len(expected) and set(got) == expected
 
 
-def test_index_over_generated_consequence_inputs():
-    # The un-normalised union of one round of basic consequences is the
-    # input normalisation sees inside the fixpoint; its sandbox triples are
-    # the queries the origin lookup answers there.
+def generated_consequence_inputs():
+    """Per seed, the un-normalised union of one round of basic consequences,
+    which is the input normalisation sees inside the fixpoint, and its
+    sandbox, whose triples are the queries the origin lookup answers there."""
     for seed in range(6):
         config = GeneratorConfig(
             pi_c=0.3, p_count=4, u_count=3, l_count=2, schema_size=24, rule_count=4,
@@ -171,7 +173,43 @@ def test_index_over_generated_consequence_inputs():
             patterns |= out.graph
             no_literal |= out.no_literal
         merged = TriplestoreSchema.of(patterns, no_literal)
+        yield seed, merged, build_sandbox(merged, lam)
+
+
+def test_index_over_generated_consequence_inputs():
+    for seed, merged, sandbox in generated_consequence_inputs():
         assert normalised_shapes(merged) == scan_kept_shapes(merged), seed
-        for t in build_sandbox(merged, lam):
+        for t in sandbox:
             assert find_origin_patterns(t, merged) == scan_origins(t, merged), (seed, t)
             assert instantiates_some(t, merged) == scan_instantiates_some(t, merged), (seed, t)
+
+
+def test_origin_and_instance_lookups_make_no_per_pair_test():
+    # Calls are counted by code object, so a caller that imported
+    # triple_instantiates by name is counted too.
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is triple_instantiates.__code__:
+            calls.append(frame.f_back.f_code.co_name)
+
+    queries = 0
+    for seed, merged, sandbox in generated_consequence_inputs():
+        sys.setprofile(count)
+        try:
+            for t in sandbox:
+                find_origin_patterns(t, merged)
+                instantiates_some(t, merged)
+        finally:
+            sys.setprofile(None)
+        queries += len(sandbox)
+        assert not calls, (seed, sorted(set(calls)))
+    assert queries > 100
+    # The guard sees a direct call.
+    t = next(iter(sandbox))
+    sys.setprofile(count)
+    try:
+        triple_instantiates(t, t, frozenset())
+    finally:
+        sys.setprofile(None)
+    assert len(calls) == 1
