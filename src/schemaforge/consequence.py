@@ -21,6 +21,8 @@ evaluate, sort, and keep the mappings :func:`filter_and_annotate` passes.
 The filter reads each antecedent triple's origins off its ground image
 under the mapping: the patterns the index returns for it, which in score
 mode are exactly the patterns whose sandbox triples the triple matched.
+The critical route, the reference oracle, finds the same origins without
+the index, by signature probe and per-pair test (:func:`reference_origins`).
 The fixpoint and the violation search both use the step, and the two
 routes produce semantically equivalent output schemas.
 
@@ -36,12 +38,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import CriticalInstanceTooLargeError
 from .eval import BudgetClock, evaluate_bgp, evaluate_union_query
 from .rules import InferenceRule
-from .schema import TriplestoreSchema, normalize_schema
+from .schema import TriplestoreSchema, normalize_schema, triple_instantiates
 from .terms import (
     FreshNames,
     Graph,
@@ -140,6 +142,27 @@ def find_origin_patterns(t: Triple, schema: TriplestoreSchema) -> set[Triple]:
     return set(schema.index.covering(t))
 
 
+def reference_origins(schema: TriplestoreSchema) -> Callable[[Triple], set[Triple]]:
+    """The critical route's origin lookup: what :func:`find_origin_patterns`
+    returns, found as before the pattern index, by probing every
+    generalisation of the triple's full constant signature and putting each
+    candidate through the per-pair :func:`schema.triple_instantiates`. The
+    reference oracle thus stays independent of the index, at the cost that
+    acceptance criterion 4 times."""
+    buckets: dict[tuple, list[Triple]] = {}
+    for p in schema.graph:
+        buckets.setdefault(tuple(None if term.is_variable else term for term in p), []).append(p)
+
+    def candidates(t: Triple) -> Iterator[Triple]:
+        for key in product(*[(None,) if term.is_variable else (term, None) for term in t]):
+            yield from buckets.get(key, ())
+
+    def origins(t: Triple) -> set[Triple]:
+        return {p for p in candidates(t) if triple_instantiates(t, p, schema.no_literal)}
+
+    return origins
+
+
 @dataclass(frozen=True)
 class FilteredMapping:
     """A surviving mapping with its temporary no-literal annotation."""
@@ -158,6 +181,7 @@ def filter_and_annotate(
     consequent: Iterable[Triple],
     schema: TriplestoreSchema,
     lam: Term,
+    origins_of: Callable[[Triple], set[Triple]] | None = None,
 ) -> FilteredMapping | None:
     """The post-processing of one mapping; None means it is filtered out.
 
@@ -174,14 +198,15 @@ def filter_and_annotate(
     object. For a mapping binding every antecedent variable, which is what
     every caller in the package passes, these are the patterns whose
     canonical triples the triple matched, less those with a no-literal
-    object variable under a literal.
+    object variable under a literal. ``origins_of`` replaces the index
+    lookup, as :func:`reference_origins` does for the critical route.
     """
     antecedent = sorted(antecedent, key=Triple.sort_key)
     delta_m = {term.lexical for t in (*antecedent, *consequent) for term in (t.s, t.p) if term.is_variable}
 
     for t_a in antecedent:
         image = m.apply_triple(t_a)
-        origins = find_origin_patterns(image, schema)
+        origins = find_origin_patterns(image, schema) if origins_of is None else origins_of(image)
 
         obj = t_a.o
         value = image.o
@@ -214,12 +239,14 @@ def surviving_mappings(
     critical instance) that :func:`filter_and_annotate` keeps."""
     if mode == SCORE:
         mappings = evaluate_union_query(antecedent, lam, canonical, clock)
+        origins_of = None
     else:
         mappings = evaluate_bgp(antecedent, canonical, clock)
+        origins_of = reference_origins(schema)
     for m in sorted(mappings, key=Mapping.sort_key):
         if clock is not None:
             clock.check(every=64)
-        fm = filter_and_annotate(m, antecedent, consequent, schema, lam)
+        fm = filter_and_annotate(m, antecedent, consequent, schema, lam, origins_of)
         if fm is not None:
             yield fm
 

@@ -6,7 +6,9 @@ candidates) against the all-pairs subsumption loop, and origin lookups and
 instance checks (the index's per-object-kind tables) against the
 positionwise test and ``triple_instantiates`` on every pattern. The scans
 live here and in ``test_coverage.py`` only, as oracles: a guard below
-checks that the lookups themselves make no per-pair test.
+checks that the lookups themselves make no per-pair test. The critical
+route's ``reference_origins``, which keeps the lookup from before the
+index, is checked against the same scan.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from schemaforge import (
     triple_instantiates,
     var,
 )
-from schemaforge.consequence import lambda_for
+from schemaforge.consequence import lambda_for, reference_origins
 from schemaforge.generator import GeneratorConfig, generate
 from schemaforge.schema import (
     PatternIndex,
@@ -130,8 +132,10 @@ def test_normalize_matches_all_pairs_scan(schema):
 @EXAMPLES
 @given(schemas(), st.lists(queries, max_size=8))
 def test_origin_lookup_matches_scan(schema, batch):
+    reference = reference_origins(schema)
     for t in batch:
         assert find_origin_patterns(t, schema) == scan_origins(t, schema), t
+        assert reference(t) == scan_origins(t, schema), t
 
 
 @EXAMPLES
