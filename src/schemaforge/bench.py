@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Sequence
 
 from .consequence import simple_schema_consequence
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ParseError
 from .eval import BudgetClock
 from .existential import retained_existentials
 from .generator import GeneratorConfig, generate
@@ -106,10 +106,13 @@ def run_one(config: GeneratorConfig, algo: str, mode: str, budget_seconds: float
 
 
 def config_from_dict(values: dict) -> GeneratorConfig:
-    seed = int(os.environ.get(SEED_ENV_VAR, values.get("seed", 0)))
-    fields = dict(values)
-    fields["seed"] = seed
-    return GeneratorConfig(**fields)
+    """The point's generator configuration, its seed overridden by the
+    seed variable if that is set; a malformed one raises ParseError."""
+    seed = os.environ.get(SEED_ENV_VAR, values.get("seed", 0))
+    try:
+        return GeneratorConfig(**{**values, "seed": int(seed)})
+    except (TypeError, ValueError) as exc:  # a field unknown, missing or mistyped, or the seed
+        raise ParseError(str(exc), f"sweep point {values} with seed {seed!r}") from exc
 
 
 def run_benchmark(
@@ -128,10 +131,7 @@ def run_benchmark(
     reproducible byte-for-byte for a fixed seed.
     """
     records = []
-    for point in points:
-        merged = dict(base)
-        merged.update(point)
-        config = config_from_dict(merged)
+    for config in [config_from_dict({**base, **point}) for point in points]:  # all checked first
         for algo in algorithms:
             for mode in modes:
                 runs = [run_one(config, algo, mode, budget_seconds) for _ in range(max(1, repetitions))]

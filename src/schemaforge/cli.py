@@ -155,9 +155,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         config = json.loads(_read(args.config))
     except json.JSONDecodeError as exc:
         raise ParseError(str(exc), args.config) from exc
+    if not isinstance(config, dict):
+        raise ParseError("a sweep configuration must be a JSON object", args.config)
+    base, points = config.get("base", {}), config.get("points", [{}])
+    if not (isinstance(base, dict) and isinstance(points, list) and all(isinstance(p, dict) for p in points)):
+        raise ParseError('"base" must be an object and "points" a list of objects', args.config)
     records = run_benchmark(
-        base=config.get("base", {}),
-        points=config.get("points", [{}]),
+        base=base,
+        points=points,
         algorithms=config.get("algorithms", ["score"]),
         modes=config.get("modes", ["simple"]),
         budget_seconds=config.get("budget_seconds", 600.0),

@@ -17,16 +17,16 @@ its rounds built.
 Closure is computed with delta-driven (semi-naive) evaluation. Round 1,
 whose delta is the whole graph, joins each rule once; in each later round,
 at least one antecedent triple must match a triple derived in the previous
-round, and only the delta is built as a graph of its own. Each rule is
-planned once per rule object (its sorted antecedent in the join's
-most-bound-first order, with the constant probe of each pattern), and the
-plan, kept on the rule, serves every closure call, every round and every
-choice of the pattern forced into the delta. A round visits only the rules
-the delta can wake: those with an antecedent predicate among the delta's
-predicates, through a predicate index built once per call, and every rule
-with a variable antecedent predicate; round 1 also fires the rules with an
-empty antecedent. The direct-from-definition naive iteration, which visits
-every rule in every round, is kept behind a flag as the testing oracle.
+round, and only the delta is built as a graph of its own. One firing step
+serves rule application, every round and the naive oracle: it runs the
+join over a rule's goals and instantiates the consequent straight from
+each binding. The plan (the sorted antecedent in the join's
+most-bound-first order, with each pattern's constant probe) and the set of
+antecedent predicates are kept on the rule across calls. A round visits, in
+list order, the rules whose antecedent predicates meet the delta's, and
+every rule with a variable one; round 1 also fires the rules with an empty
+antecedent. The direct-from-definition naive iteration, which visits every
+rule in every round, is kept behind a flag as the testing oracle.
 
 The chase extends a ground graph until every existential rule is satisfied,
 inventing one fresh IRI per residual consequent variable. Each step acts on
@@ -51,7 +51,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ChaseNonterminationError, SchemaError
-from .eval import BudgetClock, _extend, _most_bound_first, evaluate_bgp
+from .eval import BudgetClock, Goal, _extend, _most_bound_first
 from .schema import (
     ExistentialRule,
     TriplestoreSchema,
@@ -134,7 +134,14 @@ class InferenceRule:
         return frozenset(t.p for t in self.consequent)
 
     @cached_property
-    def _seminaive_plan(self) -> _Plan:
+    def _woken_by(self) -> frozenset[Term] | None:
+        """The predicates of the triples that can fit an antecedent triple;
+        None when one is a variable, which any triple can fit."""
+        predicates = frozenset(t.p for t in self.antecedent)
+        return None if any(p.is_variable for p in predicates) else predicates
+
+    @cached_property
+    def _plan(self) -> _Plan:
         """The antecedent in join order, each pattern with the constant
         probe that tells whether any delta triple can fit it."""
         antecedent = self.sorted_antecedent()
@@ -144,36 +151,21 @@ class InferenceRule:
         ]
 
 
+def _fire(rule: InferenceRule, goals: Sequence[Goal], clock: BudgetClock | None) -> Iterator[Triple]:
+    """The rule's consequent instantiated by each binding of the goals,
+    whenever the instantiation is a valid RDF graph."""
+    for binding in _extend(goals, 0, {}, clock):
+        instantiated = [
+            Triple(*(binding[term.lexical] if term.is_variable else term for term in t))
+            for t in rule.consequent
+        ]
+        if is_valid_rdf_graph(instantiated):
+            yield from instantiated
+
+
 def apply_rule(rule: InferenceRule, graph: Graph, clock: BudgetClock | None = None) -> Graph:
     """One rule application: the graph plus every valid instantiated consequent."""
-    added: set[Triple] = set()
-    for m in evaluate_bgp(rule.antecedent, graph, clock):
-        instantiated = m.apply(rule.consequent)
-        if is_valid_rdf_graph(instantiated):
-            added |= instantiated
-    return graph.union(added)
-
-
-def _rule_matches(plan: _Plan, graph: Graph, clock: BudgetClock | None) -> Iterator[Mapping]:
-    """Matches of the planned antecedent in the graph: one plain join."""
-    return map(Mapping.of, _extend([(t, graph) for t, _ in plan], 0, {}, clock))
-
-
-def _rule_matches_seminaive(
-    plan: _Plan, full: Graph, delta: Graph, clock: BudgetClock | None
-) -> set[Mapping]:
-    """Matches of the planned antecedent using at least one delta triple.
-
-    Realised as the union over which antecedent triple is forced into the
-    delta; duplicates collapse in the result set.
-    """
-    found: set[Mapping] = set()
-    for i, (_, probe) in enumerate(plan):
-        if not delta.match(*probe):
-            continue  # no delta triple fits the forced pattern
-        goals = [(t, delta if j == i else full) for j, (t, _) in enumerate(plan)]
-        found.update(map(Mapping.of, _extend(goals, 0, {}, clock)))
-    return found
+    return graph.union(_fire(rule, [(t, graph) for t, _ in rule._plan], clock))
 
 
 def closure(
@@ -186,55 +178,33 @@ def closure(
 
     One graph, built once, grows by each round's new triples; only the
     round's delta is built afresh. Round 1, whose delta is the whole
-    graph, joins each rule it visits once over it; later rounds match
-    semi-naively, with an antecedent triple forced into the delta. A round
-    visits only the rules with an antecedent predicate in its delta or a
-    variable one, since no other rule has an antecedent triple a delta
-    triple can fit; round 1 also fires the rules with an empty antecedent.
-    Each rule is planned once per rule object, on its first use.
-    ``naive=True`` switches to the direct definition (re-evaluate every
-    rule against the whole graph each round); it is the oracle the
-    semi-naive path is tested against.
+    graph, fires each rule it visits once over it; later rounds fire once
+    per antecedent triple forced into the delta that a delta triple fits.
+    A round visits only the rules whose antecedent predicates meet the
+    delta's or hold a variable, since no other rule has an antecedent
+    triple a delta triple can fit; round 1 also visits those with an empty
+    antecedent. ``naive=True`` switches to the direct definition (fire
+    every rule against the whole graph each round); it is the oracle the
+    semi-naive rounds are tested against.
     """
-    # Predicate -> positions of the rules with an antecedent triple on it;
-    # a rule with a variable antecedent predicate is woken by every delta.
-    woken_by: dict[Term, list[int]] = {}
-    always: list[int] = []
-    unconditional: list[int] = []
-    for i, rule in enumerate(rules):
-        predicates = {t.p for t in rule.antecedent}
-        if not predicates:
-            unconditional.append(i)
-        elif any(p.is_variable for p in predicates):
-            always.append(i)
-        else:
-            for p in predicates:
-                woken_by.setdefault(p, []).append(i)
-
     full = Graph(graph.triples, validate=False)  # a copy this call may grow
     delta = full
     while True:
         if clock is not None:
             clock.check(every=1)
-        if naive:
-            visited = rules
-        else:
-            woken = set(always).union(*(woken_by.get(p, ()) for p in delta.predicates()))
-            if delta is full:
-                woken.update(unconditional)
-            visited = [rules[i] for i in sorted(woken)]
+        predicates = delta.predicates()
         new: set[Triple] = set()
-        for rule in visited:
-            if naive:
-                mappings = evaluate_bgp(rule.antecedent, full, clock)
-            elif delta is full:
-                mappings = _rule_matches(rule._seminaive_plan, full, clock)
-            else:
-                mappings = _rule_matches_seminaive(rule._seminaive_plan, full, delta, clock)
-            for m in mappings:
-                instantiated = m.apply(rule.consequent)
-                if is_valid_rdf_graph(instantiated):
-                    new |= instantiated
+        for rule in rules:
+            plan, woken_by = rule._plan, rule._woken_by
+            if naive or delta is full:
+                # Falsy woken_by: a variable predicate or an empty antecedent.
+                if naive or not woken_by or not predicates.isdisjoint(woken_by):
+                    new.update(_fire(rule, [(t, full) for t, _ in plan], clock))
+            elif woken_by is None or not predicates.isdisjoint(woken_by):
+                for i, (_, probe) in enumerate(plan):
+                    if delta.match(*probe):  # some delta triple fits the forced pattern
+                        goals = [(t, delta if j == i else full) for j, (t, _) in enumerate(plan)]
+                        new.update(_fire(rule, goals, clock))
         added = [t for t in new if full.insert(t)]
         if not added:
             # Handed out without the indexes the rounds built: a caller

@@ -1,14 +1,18 @@
-"""The join-based violation check and the rescanning chase, kept as the
-oracles that ``schema.unsatisfied`` and ``rules.chase_existentials`` are
-tested against.
+"""The join-based violation check, the rescanning chase and the closure
+by its definition, kept as the oracles that ``schema.unsatisfied``,
+``rules.chase_existentials`` and ``rules.closure`` are tested against.
 
-Both send each side of an existential rule through the general join of
-conjunctions, ``evaluate_bgp``, as a one-pattern conjunction: the
-antecedent's matches are evaluated as a set and sorted, and each
-instantiated consequent is evaluated in full to learn whether it has a
-witness. That is a direct transcription of the definition of a violation.
+The violation check and the chase send each side of an existential rule
+through the general join of conjunctions, ``evaluate_bgp``, as a
+one-pattern conjunction: the antecedent's matches are evaluated as a set
+and sorted, and each instantiated consequent is evaluated in full to learn
+whether it has a witness. That is a direct transcription of the definition of a violation.
 The chase rebuilds its graph after every change and rescans every rule from
-the first one, so it keeps no state between steps that could go stale.
+the first one, so it keeps no state between steps that could go stale. The
+closure matches every rule's antecedent against the whole graph with
+``evaluate_bgp``, instantiates the consequent with ``Mapping.apply`` and
+keeps the instantiations that are valid RDF graphs, until a pass adds
+nothing; it shares no step with ``rules``.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from schemaforge import (
     ExistentialRule,
     FreshNames,
     Graph,
+    InferenceRule,
     Mapping,
     Term,
     Triple,
@@ -28,7 +33,7 @@ from schemaforge import (
 from schemaforge.eval import BudgetClock, evaluate_bgp
 from schemaforge.rules import _unify_with_pattern
 from schemaforge.schema import Violation, instantiates_some
-from schemaforge.terms import pattern_vars
+from schemaforge.terms import is_valid_rdf_graph, pattern_vars
 
 
 def oracle_violations(rules: Iterable[ExistentialRule], graph: Graph) -> frozenset[Violation]:
@@ -105,3 +110,22 @@ def oracle_chase(
                 "likely not weakly acyclic"
             )
     return current
+
+
+def oracle_consequences(graph: Graph, rules: Iterable[InferenceRule]) -> set[Triple]:
+    """Every valid instantiated consequent of every antecedent match."""
+    found: set[Triple] = set()
+    for rule in rules:
+        for m in evaluate_bgp(rule.antecedent, graph):
+            instantiated = m.apply(rule.consequent)
+            if is_valid_rdf_graph(instantiated):
+                found |= instantiated
+    return found
+
+
+def oracle_closure(graph: Graph, rules: Iterable[InferenceRule]) -> Graph:
+    """The graph with :func:`oracle_consequences` added until nothing is new."""
+    rules = list(rules)
+    while not (new := oracle_consequences(graph, rules)) <= graph.triples:
+        graph = graph.union(new)
+    return graph

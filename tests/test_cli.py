@@ -155,6 +155,43 @@ def test_seed_env_override(tmp_path, monkeypatch):
     assert row.startswith("99,")
 
 
+SWEEP_BASE = {
+    "pi_c": 0.0,
+    "p_count": 8,
+    "u_count": 5,
+    "l_count": 5,
+    "schema_size": 4,
+    "rule_count": 2,
+    "existential_count": 0,
+    "antecedent_len": 2,
+    "seed": 11,
+}
+
+
+@pytest.mark.parametrize(
+    "sweep, seed",
+    [
+        ({"base": {**SWEEP_BASE, "colour": "red"}}, None),
+        ({"base": {k: v for k, v in SWEEP_BASE.items() if k != "pi_c"}}, None),
+        ([SWEEP_BASE], None),
+        ({"base": 3}, None),
+        ({"base": SWEEP_BASE, "points": [{}, "wide"]}, None),
+        ({"base": SWEEP_BASE}, "eleven"),
+    ],
+    ids=["unknown-key", "missing-field", "config-not-an-object", "base-not-an-object", "point-not-an-object",
+         "non-integer-seed"],
+)
+def test_a_malformed_sweep_exits_2_with_an_error_line(tmp_path, capsys, monkeypatch, sweep, seed):
+    if seed is not None:
+        monkeypatch.setenv("SCHEMAFORGE_SEED", seed)
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps(sweep))
+    csv_path = tmp_path / "out.csv"
+    assert main(["bench", "--config", str(config_path), "--csv", str(csv_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not csv_path.exists()
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["nosuchcommand"]) == 1
     assert main(["validate", "-s", SCHEMA]) == 1  # missing -g

@@ -6,8 +6,10 @@ visits in a semi-naive round only the rules with an antecedent predicate
 among the delta's. Rules with a variable predicate are the cases an index
 by predicate can drop by mistake, so the inputs here hold them. The
 rewritings are compared with ``rewrite_oracle``, which renames every rule
-for every rewriting; the closure with its naive iteration. Counting guards
-check that the work skipped stays skipped.
+for every rewriting; the closure with its naive iteration, and both of
+them and the single rule application with ``chase_oracle.oracle_closure``,
+which matches and instantiates by the definition. Counting guards check
+that the work skipped stays skipped.
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schemaforge import FreshNames, Graph, InferenceRule, Triple, closure, iri, lit, var
+from schemaforge import FreshNames, Graph, InferenceRule, Triple, apply_rule, closure, iri, lit, var
 from schemaforge import existential
 from schemaforge import rules as rules_module
 from schemaforge.errors import RewriteDepthExceededError
 from schemaforge.existential import rewrite_antecedents
 from schemaforge.generator import GeneratorConfig, generate
 
+from chase_oracle import oracle_closure, oracle_consequences
 from rewrite_oracle import oracle_rewrite_antecedents
 
 A, B, C = iri("urn:i:a"), iri("urn:i:b"), iri("urn:i:c")
@@ -187,29 +190,61 @@ def test_closure_matches_only_the_rules_woken_by_the_delta(monkeypatch):
         InferenceRule.of([Triple(var("x"), ABSENT, var("y"))], [Triple(var("x"), R, var("y"))], "never"),
         InferenceRule.of([Triple(var("x"), var("p"), var("y"))], [Triple(var("y"), R, var("x"))], "any"),
     ]
-    by_plan = {id(rule._seminaive_plan): rule for rule in rules}
+    graph = Graph([Triple(A, P, B), Triple(B, P, C)])
+    expected = closure(graph, rules, naive=True)
     joined: list[str] = []
     matched: list[str] = []
-    real_join, real_seminaive = rules_module._rule_matches, rules_module._rule_matches_seminaive
+    grown: list[Graph] = []  # the graph the closure grows: round 1 fires over it first
+    real_fire = rules_module._fire
 
-    def counting_join(plan, graph, clock):
-        joined.append(by_plan[id(plan)].name)
-        return real_join(plan, graph, clock)
+    def counting_fire(rule, goals, clock):
+        if not grown:
+            grown.append(goals[0][1])
+        forced = [(pattern, g) for pattern, g in goals if g is not grown[0]]
+        if not forced:
+            joined.append(rule.name)
+        else:
+            [(pattern, delta)] = forced
+            woken = {t.p for t in delta.triples} | {var("p")}
+            assert {t.p for t in rule.antecedent} & woken
+            assert delta.match(*(term if term.is_constant else None for term in pattern))
+            matched.append(rule.name)
+        return real_fire(rule, goals, clock)
 
-    def counting_seminaive(plan, full, delta, clock):
-        rule = by_plan[id(plan)]
-        woken = {t.p for t in delta.triples} | {var("p")}
-        assert {t.p for t in rule.antecedent} & woken
-        matched.append(rule.name)
-        return real_seminaive(plan, full, delta, clock)
-
-    monkeypatch.setattr(rules_module, "_rule_matches", counting_join)
-    monkeypatch.setattr(rules_module, "_rule_matches_seminaive", counting_seminaive)
-    graph = Graph([Triple(A, P, B), Triple(B, P, C)])
+    monkeypatch.setattr(rules_module, "_fire", counting_fire)
     closed = closure(graph, rules)
     # Round 1 (the whole graph, on P) joins lift and any once each; rounds
     # 2 (Q and R) and 3 (R) wake only any. Visiting every rule would make
     # 9 calls.
     assert joined == ["lift", "any"]
     assert matched == ["any", "any"]
-    assert closed == closure(graph, rules, naive=True)
+    assert closed == expected
+
+
+# Fired alongside the drawn rules: an empty antecedent, whose consequent is
+# ground, and a consequent whose subject takes the object of a P triple, a
+# literal when the graph holds ``(a p "1")``; that instantiation is dropped
+# whole, so neither of its triples is added.
+EMPTY_ANTECEDENT = InferenceRule.of([], [Triple(A, R, C)], "empty")
+LITERAL_SUBJECT = InferenceRule.of(
+    [Triple(var("x"), P, var("y"))], [Triple(var("y"), Q, var("x")), Triple(var("x"), R, var("y"))], "flip"
+)
+
+
+def test_an_empty_antecedent_fires_and_a_literal_subject_is_dropped():
+    graph = Graph([Triple(A, P, ONE), Triple(A, P, B)])
+    closed = Graph([*graph, Triple(A, R, C), Triple(B, Q, A), Triple(A, R, B)])
+    assert closure(graph, [EMPTY_ANTECEDENT, LITERAL_SUBJECT]) == closed
+    assert oracle_closure(graph, [EMPTY_ANTECEDENT, LITERAL_SUBJECT]) == closed
+
+
+@EXAMPLES
+@given(st.lists(inference_rules(), max_size=3), st.sets(ground_triples, max_size=6), st.data())
+def test_closure_and_apply_rule_match_the_oracle(drawn, triples, data):
+    rules = data.draw(st.permutations([*drawn, EMPTY_ANTECEDENT, LITERAL_SUBJECT]))
+    graph = Graph(triples)
+    expected = oracle_closure(graph, rules)
+    assert closure(graph, rules) == expected
+    assert closure(graph, rules, naive=True) == expected
+    for rule in rules:
+        assert apply_rule(rule, graph) == graph.union(oracle_consequences(graph, [rule]))
