@@ -17,10 +17,10 @@ import csv
 import io
 import os
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Iterable, Sequence
 
-from .consequence import simple_schema_consequence
+from .consequence import CRITICAL, SCORE, simple_schema_consequence
 from .errors import BudgetExceededError, ParseError
 from .eval import BudgetClock
 from .existential import retained_existentials
@@ -30,25 +30,6 @@ SEED_ENV_VAR = "SCHEMAFORGE_SEED"
 
 SIMPLE = "simple"
 EXISTENTIAL = "existential"
-
-CSV_COLUMNS = [
-    "seed",
-    "schema_size",
-    "p_count",
-    "pi_c",
-    "u_count",
-    "l_count",
-    "rule_count",
-    "antecedent_len",
-    "existential_count",
-    "algo",
-    "mode",
-    "time_ms",
-    "timed_out",
-    "out_patterns",
-    "violated_count",
-]
-
 
 @dataclass(frozen=True)
 class BenchRecord:
@@ -67,6 +48,9 @@ class BenchRecord:
     timed_out: bool
     out_patterns: int
     violated_count: int
+
+
+CSV_COLUMNS = [field.name for field in fields(BenchRecord)]
 
 
 def run_one(config: GeneratorConfig, algo: str, mode: str, budget_seconds: float) -> BenchRecord:
@@ -115,6 +99,20 @@ def config_from_dict(values: dict) -> GeneratorConfig:
         raise ParseError(str(exc), f"sweep point {values} with seed {seed!r}") from exc
 
 
+def _check_sweep(algorithms, modes, budget_seconds, repetitions) -> None:
+    """Raise ParseError for a sweep value no run can use."""
+    for name, values, allowed in (
+        ("algorithms", algorithms, (SCORE, CRITICAL)),
+        ("modes", modes, (SIMPLE, EXISTENTIAL)),
+    ):
+        if not isinstance(values, (list, tuple)) or not all(v in allowed for v in values):
+            raise ParseError(f"must be a list of {' or '.join(allowed)}", f"{name} {values!r}")
+    if isinstance(budget_seconds, bool) or not isinstance(budget_seconds, (int, float)) or not budget_seconds > 0:
+        raise ParseError("must be a positive number", f"budget_seconds {budget_seconds!r}")
+    if isinstance(repetitions, bool) or not isinstance(repetitions, int) or repetitions < 1:
+        raise ParseError("must be a positive integer", f"repetitions {repetitions!r}")
+
+
 def run_benchmark(
     base: dict,
     points: Sequence[dict] = ({},),
@@ -124,17 +122,19 @@ def run_benchmark(
     repetitions: int = 1,
 ) -> list[BenchRecord]:
     """Run the sweep; per-run budget exhaustion is recorded, never fatal.
+    A malformed sweep value raises ParseError before anything runs.
 
     Each point is the base configuration updated with its overrides.
     Repetitions re-measure the same seeded input; the emitted record
     carries the mean time, so everything except the timing columns is
     reproducible byte-for-byte for a fixed seed.
     """
+    _check_sweep(algorithms, modes, budget_seconds, repetitions)
     records = []
     for config in [config_from_dict({**base, **point}) for point in points]:  # all checked first
         for algo in algorithms:
             for mode in modes:
-                runs = [run_one(config, algo, mode, budget_seconds) for _ in range(max(1, repetitions))]
+                runs = [run_one(config, algo, mode, budget_seconds) for _ in range(repetitions)]
                 completed = [r for r in runs if not r.timed_out]
                 sample = completed[0] if completed else runs[0]
                 records.append(

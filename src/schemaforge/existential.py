@@ -30,9 +30,11 @@ Rewriting touches only the rules that can fire. A consequent predicate is
 always a constant, so per rewriting only the rules with a consequent
 predicate among the rewriting's predicates are renamed apart (every rule
 when one of them is a variable), and a constant antecedent predicate is
-unified only with the renamed consequent triples on that predicate. A
-skipped rule still draws the fresh names its renaming would have, so the
-names that reach the witnesses do not depend on the skipping.
+unified only with the renamed consequent triples on that predicate. Fresh
+names are drawn only for what is built: the rules renamed, the grounded
+variables and the chase's witnesses. A rewriting is defined only up to
+renaming and homomorphic equivalence, and a witness only up to renaming
+of its invented IRIs, so that is all the search's results keep.
 
 Rewriting prunes by homomorphism subsumption, which keeps the rewriting
 set finite on recursive rule sets; the depth bound ``MAX_REWRITE_DEPTH``
@@ -171,8 +173,10 @@ def rewrite_antecedents(
 
     The consequent triples are indexed by predicate per rewriting, and
     only the rules that have one of its predicates (all, if one is a
-    variable) are renamed; the candidates, and so the result and the fresh
-    names drawn, are those of renaming and unifying every rule.
+    variable) are renamed and draw fresh names. The result is that of
+    renaming and unifying every rule up to homomorphic equivalence of each
+    rewriting; its order can differ, since triples are visited in the
+    sort order of their variable names.
     """
     if fresh is None:
         fresh = FreshNames.of(*(r.antecedent | r.consequent for r in (*rules, rule)))
@@ -188,9 +192,8 @@ def rewrite_antecedents(
             )
         # One renaming per rule keeps every candidate of this rewriting
         # apart. Only a rule with a consequent predicate of the rewriting
-        # (every rule, if one of its predicates is a variable) can unify; any
-        # other draws the names its renaming would have, since later names
-        # reach the witnesses.
+        # (every rule, if one of its predicates is a variable) can unify, so
+        # only those are renamed.
         predicates = {t.p for t in current.antecedent}
         every_rule = any(p.is_variable for p in predicates)
         built: list[tuple[frozenset[Triple], Triple]] = []
@@ -198,9 +201,6 @@ def rewrite_antecedents(
             if every_rule or not other.consequent_predicates.isdisjoint(predicates):
                 antecedent, consequent = _rename_apart(other, fresh)
                 built.extend((antecedent, t_c) for t_c in consequent)
-            else:
-                for _ in other.variable_names:
-                    fresh.fresh_var("r")
         # A constant predicate unifies only with its own bucket, which keeps
         # the candidates in rule order, then sorted consequent order.
         by_predicate: dict[Term, list[tuple[frozenset[Triple], Triple]]] = {}

@@ -32,15 +32,15 @@ The chase extends a ground graph until every existential rule is satisfied,
 inventing one fresh IRI per residual consequent variable. Each step acts on
 the first unsatisfied (rule, mapping) pair, in the order
 :func:`schema.unsatisfied` yields them, that it can act on. It finds those
-pairs by one scan and keeps them in that order; a pair is dropped once it
-has a witness, and a new witness triple adds the pairs of the rules on its
-predicate or on a variable one, the only rules it can match. Given a schema
-it also repairs: a witness that instantiates no schema pattern may have the
-IRIs its graph invented (the nulls) unified with the constants of a
-covering pattern, across the whole graph, after which the chase scans the
-graph again. Termination is only guaranteed for weakly acyclic rule sets,
-so a bound on the number of changes guards the loop and a diagnostic error
-names the likely cause when it trips.
+pairs by one scan, keeps them in that order and takes each once; a new
+witness triple adds the pairs of the rules on its predicate or on a
+variable one, the only rules it can match. Given a schema it also repairs:
+a witness that instantiates no schema pattern may have the IRIs its graph
+invented (the nulls) unified with the constants of a covering pattern,
+across the whole graph, after which the chase scans the graph again.
+Termination is only guaranteed for weakly acyclic rule sets, so a bound on
+the number of changes guards the loop and a diagnostic error names the
+likely cause when it trips.
 """
 
 from __future__ import annotations
@@ -125,8 +125,8 @@ class InferenceRule:
 
     @cached_property
     def variable_names(self) -> list[str]:
-        """Every variable name of the rule, sorted: the order in which
-        renaming the rule apart draws fresh names."""
+        """Every variable name of the rule, sorted: the names renaming the
+        rule apart replaces, in the order it draws their fresh names."""
         return sorted(pattern_vars(self.antecedent | self.consequent))
 
     @cached_property
@@ -273,17 +273,20 @@ def chase_existentials(
     ``nulls`` (invented IRIs, to which the chase adds its own) with the
     constants of the first covering pattern in sorted order, across the
     graph. The caller's instance check gates the result, so an unlucky
-    choice costs completeness, never soundness. A match that cannot be
-    acted on still draws its fresh IRIs each time it is passed, so the
-    names drawn are those of rescanning every rule at every step.
+    choice costs completeness, never soundness.
 
-    The unsatisfied pairs are found by one scan and kept in order. A pair
-    is dropped when it is next visited with a witness. A new witness
-    triple, inserted into the one graph the chase grows, can only add
-    antecedent matches of the rules on its predicate or on a variable one,
-    so only those rules are probed for new pairs. A repair substitutes
-    nulls across the graph, so after one the graph is rebuilt and scanned
-    in full. One step is one witness added or one repair applied;
+    The unsatisfied pairs are found by one scan and kept in order; each is
+    taken from the front once and dropped, witnessed, acted on or not.
+    Whether a pair can be acted on rests on its consequent, the schema and
+    which terms are nulls (fresh IRIs are never schema constants once the
+    registry has observed the schema), and a growing graph only adds
+    literal subjects to a repair, so a pair that cannot be acted on stays
+    so until a repair, which rescans. A new witness triple,
+    inserted into the one graph the chase grows, can only add antecedent
+    matches of the rules on its predicate or on a variable one, so only
+    those rules are probed for new pairs. A repair substitutes nulls
+    across the graph, so after one the graph is rebuilt and scanned in
+    full. One step is one witness added or one repair applied;
     exceeding the bound (quadratic in the input size by default) raises,
     flagging a non-weakly-acyclic rule set. The clock is checked once per
     step.
@@ -300,30 +303,23 @@ def chase_existentials(
     current = Graph(graph.triples, validate=False)  # a copy this call may grow
     pending = list(_unsatisfied_at(rule_list, current))
     steps = 0
-    while True:
+    while pending:
+        position, m = pending.pop(0)
+        consequent = m.apply_triple(rule_list[position].consequent)
+        if _has_match(consequent, current):
+            continue  # witnessed since it was found
+        grounding = {name: fresh.fresh_iri() for name in sorted(pattern_vars([consequent]))}
+        nulls.update(grounding.values())
+        witness = Mapping.of(grounding).apply_triple(consequent)
+        if not (witness.s.is_iri and witness.p.is_iri):
+            # No valid RDF witness can exist (literal forced into the
+            # subject or predicate); the violation is left standing.
+            continue
         repaired = None
-        i = 0
-        while i < len(pending):
-            position, m = pending[i]
-            consequent = m.apply_triple(rule_list[position].consequent)
-            if _has_match(consequent, current):
-                del pending[i]  # witnessed since it was found
-                continue
-            i += 1
-            grounding = {name: fresh.fresh_iri() for name in sorted(pattern_vars([consequent]))}
-            nulls.update(grounding.values())
-            witness = Mapping.of(grounding).apply_triple(consequent)
-            if not (witness.s.is_iri and witness.p.is_iri):
-                # No valid RDF witness can exist (literal forced into the
-                # subject or predicate); the violation is left standing.
-                continue
-            if schema is None or instantiates_some(witness, schema):
-                break
+        if schema is not None and not instantiates_some(witness, schema):
             repaired = _repair(witness, current, schema, nulls)
-            if repaired is not None:
-                break
-        else:
-            return current.freeze()
+            if repaired is None:
+                continue  # no pattern can be covered, nor after more witnesses
         if clock is not None:
             clock.check(every=1)
         steps += 1
@@ -336,7 +332,6 @@ def chase_existentials(
             current = Graph(repaired, validate=False)
             pending = list(_unsatisfied_at(rule_list, current))
             continue
-        del pending[i - 1]  # the witness satisfies it
         current.insert(witness)
         if woken_by is None:
             woken_by = {}
@@ -348,3 +343,4 @@ def chase_existentials(
             m = _antecedent_match(rule, witness)
             if m is not None and not _has_match(m.apply_triple(rule.consequent), current):
                 insort(pending, (position, m))
+    return current.freeze()

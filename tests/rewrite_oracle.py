@@ -5,8 +5,9 @@ against.
 Each dequeued rewriting renames every inference rule apart, unifies every
 antecedent triple with every renamed consequent triple, and prunes by a
 homomorphism test that always runs the join. It is a direct transcription
-of backward unfolding, and draws the same fresh names in the same order as
-the indexed search, so both must return equal lists of rewritings.
+of backward unfolding. It draws fresh names for every rule it renames,
+where the indexed search draws them only for the rules that can unify, so
+the two results are compared up to homomorphic equivalence.
 """
 
 from __future__ import annotations

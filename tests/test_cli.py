@@ -177,9 +177,15 @@ SWEEP_BASE = {
         ({"base": 3}, None),
         ({"base": SWEEP_BASE, "points": [{}, "wide"]}, None),
         ({"base": SWEEP_BASE}, "eleven"),
+        ({"base": SWEEP_BASE, "algorithms": "score"}, None),
+        ({"base": SWEEP_BASE, "algorithms": ["fast"]}, None),
+        ({"base": SWEEP_BASE, "budget_seconds": "60"}, None),
+        ({"base": SWEEP_BASE, "repetitions": "2"}, None),
+        ({"base": SWEEP_BASE, "modes": ["nope"]}, None),
     ],
     ids=["unknown-key", "missing-field", "config-not-an-object", "base-not-an-object", "point-not-an-object",
-         "non-integer-seed"],
+         "non-integer-seed", "algorithms-a-string", "unknown-algorithm", "budget-a-string",
+         "repetitions-a-string", "unknown-mode"],
 )
 def test_a_malformed_sweep_exits_2_with_an_error_line(tmp_path, capsys, monkeypatch, sweep, seed):
     if seed is not None:

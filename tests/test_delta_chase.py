@@ -21,6 +21,7 @@ from schemaforge import (
     Graph,
     InferenceRule,
     Triple,
+    TriplestoreSchema,
     chase_existentials,
     closure,
     iri,
@@ -138,6 +139,26 @@ def test_chase_match_calls_per_step_do_not_grow_with_the_steps(monkeypatch):
     # rescanning the growing chain at every step would make the second
     # share larger.
     assert once - base == twice - once > 0
+
+
+def test_a_pair_the_chase_cannot_act_on_draws_once():
+    # Ten (s_i :p :b) matches of ?x :p ?y -> ?x :q ?z; a witness (s_i :q n)
+    # covers a pattern only for the five subjects the schema names, and
+    # s_i is no null, so no repair helps the first five. Taking each pair
+    # once draws one IRI per pair; rescanning the five from the front at
+    # every step would draw 5 * 6 + 5 = 35.
+    subjects = [iri(f"urn:d:s{i}") for i in range(10)]
+    schema = TriplestoreSchema.of(
+        [Triple(var("v"), P, B), *(Triple(s, Q, var(f"w{i}")) for i, s in enumerate(subjects[5:]))], ["v"]
+    )
+    rule = e(Triple(X, P, Y), Triple(X, Q, Z))
+    graph = Graph([Triple(s, P, B) for s in subjects])
+    fresh, nulls = FreshNames.of(graph, schema.graph), set()
+    out = chase_existentials(graph, [rule], fresh, schema=schema, nulls=nulls)
+    assert {t.s for t in out.match(None, Q, None)} == set(subjects[5:])
+    assert len(out) == 15
+    assert len(nulls) == 10
+    assert fresh.fresh_iri() == iri(f"{FreshNames.FRESH_IRI_NS}11")
 
 
 def test_closure_fires_rules_with_an_empty_antecedent():
