@@ -19,17 +19,20 @@ prefix map.
 
 Where a statement can begin (at the start, or after '.', '{', a comment or
 another statement), the tokenizer first tries one regular expression for a
-one-line ground statement ``term term term .``. On a match it goes on
-matching statements for as long as only whitespace separates them, and
-emits the whole run as one token that keeps each statement's match groups
-and line; every other input is read character by character. Where
-statements are expected (at the top of a graph or shape document, and in
-a triple block) a run turns into its triples in one loop. A parser that
-meets a run anywhere else splits it into the tokens the character path
-makes of it, so results, error messages and error lines are the same
-either way. Data graphs are almost all such statements, one long run
-between prefix declarations and comments; rules and schema patterns,
-which hold variables, almost never are.
+one-line statement ``term term term .`` of IRIs, names, variables and, in
+object position, literals. On a match it goes on matching statements for
+as long as only whitespace separates them, and emits the whole run as one
+token that keeps each statement's match groups and line; every other input
+is read character by character. Where statements are expected (at the top
+of a graph or shape document, and in a triple block) a run turns into its
+triples in one loop, and a variable in a graph or shape document fails on
+its statement's line. A parser that meets a run anywhere else, or looks
+for a variable where one begins (a no-literal set such as ``?s ?x ?y .``),
+splits it into the tokens the character path makes of it, so results,
+error messages and error lines are the same either way. Data graphs are
+almost all such statements, one long run between prefix declarations and
+comments, and so are the pattern blocks of machine-written rules and
+schemas.
 
 One parse builds one :class:`Term` per distinct IRI, literal and variable,
 shared by every triple it occurs in. Equality stays by value, so terms
@@ -77,18 +80,21 @@ _PUNCT = {
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
-# A one-line ground statement ``term term term .``. Subject and predicate
-# are an IRI or a name, the object may also be a literal. A name is what the
-# character path reads as a prefixed name or bare word: a run of word
-# characters and ``_-:.`` that neither begins nor ends with '.'; the
-# lookahead stops a shorter name from matching inside a longer one. Empty
-# IRIs and literals are left to the character path, which reports them.
+# A one-line statement ``term term term .``. Each position holds an IRI, a
+# name or a variable, and the object may also be a literal. A name is what
+# the character path reads as a prefixed name or bare word: a run of word
+# characters and ``_-:.`` that neither begins nor ends with '.'; a variable
+# is '?' and a run of word characters. The lookaheads stop a shorter name or
+# variable from matching inside a longer one. Empty IRIs and literals, and
+# '?' with no name, are left to the character path, which reports them.
 _IRI = r"<([^>\n]+)>"
 _NAME = r"([\w:-](?:[\w:.-]*[\w:-])?)(?!\.*[\w:-])"
+_VAR = r"\?(\w+)(?!\w)"
 _LITERAL = r'"((?:[^"\\\n]|\\.)+)"'
 _GAP = r"[^\S\n]*"
+_TERM = rf"(?:{_IRI}|{_NAME}|{_VAR})"
 _STATEMENT = re.compile(
-    rf"(?:{_IRI}|{_NAME}){_GAP}(?:{_IRI}|{_NAME}){_GAP}(?:{_IRI}|{_NAME}|{_LITERAL}){_GAP}\."
+    rf"{_TERM}{_GAP}{_TERM}{_GAP}(?:{_IRI}|{_NAME}|{_LITERAL}|{_VAR}){_GAP}\."
 )
 # What may separate the statements of a run; ``\s`` is ``str.isspace``.
 _SPACE = re.compile(r"\s*")
@@ -103,35 +109,40 @@ class Token:
 
 @dataclass(frozen=True)
 class StatementRun(Token):
-    """One-line ground statements separated only by whitespace, type
-    ``RUN``: it stands for the tokens of each statement's three terms and
-    closing '.', each on its statement's line. ``statements`` holds each
-    statement's :data:`_STATEMENT` match groups (IRI or name for subject
-    and predicate, IRI, name or literal for the object, unused ones None)
-    and line. ``value`` and ``line`` are the first subject token's, so a
-    message about the run names what the character path would have found
-    there."""
+    """One-line statements separated only by whitespace, type ``RUN``: it
+    stands for the tokens of each statement's three terms and closing '.',
+    each on its statement's line. ``statements`` holds each statement's
+    :data:`_STATEMENT` match groups (IRI, name or variable for subject and
+    predicate, IRI, name, literal or variable for the object, unused ones
+    None) and line. ``value`` and ``line`` are the first subject token's,
+    so a message about the run names what the character path would have
+    found there."""
 
     statements: tuple[tuple[tuple[str | None, ...], int], ...]
 
     def parts(self) -> list[Token]:
         """The tokens the character path makes of the statements."""
         tokens = []
-        for (s_iri, s_name, p_iri, p_name, o_iri, o_name, o_lit), line in self.statements:
+        for groups, line in self.statements:
+            s_iri, s_name, s_var, p_iri, p_name, p_var, o_iri, o_name, o_lit, o_var = groups
             tokens += (
-                _term_token(s_iri, s_name, None, line),
-                _term_token(p_iri, p_name, None, line),
-                _term_token(o_iri, o_name, o_lit, line),
+                _term_token(s_iri, s_name, None, s_var, line),
+                _term_token(p_iri, p_name, None, p_var, line),
+                _term_token(o_iri, o_name, o_lit, o_var, line),
                 Token("DOT", ".", line),
             )
         return tokens
 
 
-def _term_token(iri_text: str | None, name: str | None, literal: str | None, line: int) -> Token:
+def _term_token(
+    iri_text: str | None, name: str | None, literal: str | None, variable: str | None, line: int
+) -> Token:
     if iri_text is not None:
         return Token("IRIREF", iri_text, line)
     if name is not None:
         return Token("PNAME" if ":" in name else "WORD", name, line)
+    if variable is not None:
+        return Token("VAR", variable, line)
     return Token("STRING", _unescape(literal), line)
 
 
@@ -155,7 +166,7 @@ def tokenize(text: str, source: str = "<string>") -> list[Token]:
         if c.isspace():
             i += 1
             continue
-        if statement_may_begin and (c == "<" or c.isalnum() or c in "_-:"):
+        if statement_may_begin and (c == "<" or c == "?" or c.isalnum() or c in "_-:"):
             m = match_statement(text, i)
             if m is not None:
                 run = []
@@ -166,7 +177,8 @@ def tokenize(text: str, source: str = "<string>") -> list[Token]:
                     line += text.count("\n", j, i)
                     m = match_statement(text, i)
                 groups, first = run[0]
-                tokens.append(StatementRun("RUN", groups[0] or groups[1], first, tuple(run)))
+                subject = groups[0] or groups[1] or groups[2]
+                tokens.append(StatementRun("RUN", subject, first, tuple(run)))
                 continue
         statement_may_begin = c in ".{#"
         if c == "#":
@@ -353,6 +365,15 @@ class _Parser:
         self._names[name] = term
         return term
 
+    def variable(self, name: str, line: int) -> Term:
+        """The variable ``?name`` read on ``line``."""
+        if not self.allow_vars:
+            raise ParseError("variables are not allowed here", self.source, line)
+        term = self._variables.get(name)
+        if term is None:
+            term = self._variables[name] = var(name)
+        return term
+
     def fresh_bnode(self) -> Term:
         self._bnode_counter += 1
         return self.iri(f"{BNODE_NS}{self._bnode_counter}")
@@ -370,12 +391,7 @@ class _Parser:
                 raise self.error("empty literal", tok)
             return self.literal(tok.value)
         if tok.typ == "VAR":
-            if not self.allow_vars:
-                raise self.error("variables are not allowed here", tok)
-            term = self._variables.get(tok.value)
-            if term is None:
-                term = self._variables[tok.value] = var(tok.value)
-            return term
+            return self.variable(tok.value, tok.line)
         if tok.typ == "LBRACKET":
             if not self.allow_bnodes:
                 raise self.error("blank nodes are not allowed here", tok)
@@ -398,25 +414,32 @@ class _Parser:
         """The triples of a run's statements, in one loop. Terms resolve,
         and fail, as :meth:`parse_term` resolves them one by one; the term
         tables are probed inline, since nearly every name repeats."""
-        iris, names, literals = self._iris, self._names, self._literals
+        iris, names, literals, variables = self._iris, self._names, self._literals, self._variables
         triples = []
-        for (s_iri, s_name, p_iri, p_name, o_iri, o_name, o_lit), line in run.statements:
+        for groups, line in run.statements:
+            s_iri, s_name, s_var, p_iri, p_name, p_var, o_iri, o_name, o_lit, o_var = groups
             if s_iri is not None:
                 s = iris.get(s_iri) or self.iri(s_iri)
-            else:
+            elif s_name is not None:
                 s = names.get(s_name) or self.name(s_name, line)
+            else:
+                s = variables.get(s_var) or self.variable(s_var, line)
             if p_iri is not None:
                 p = iris.get(p_iri) or self.iri(p_iri)
-            else:
+            elif p_name is not None:
                 p = names.get(p_name) or self.name(p_name, line)
+            else:
+                p = variables.get(p_var) or self.variable(p_var, line)
             if o_iri is not None:
                 o = iris.get(o_iri) or self.iri(o_iri)
             elif o_name is not None:
                 o = names.get(o_name) or self.name(o_name, line)
-            else:
+            elif o_lit is not None:
                 o = literals.get(o_lit) if "\\" not in o_lit else None
                 if o is None:
                     o = self.literal(_unescape(o_lit))
+            else:
+                o = variables.get(o_var) or self.variable(o_var, line)
             triples.append(Triple(s, p, o))
         return triples
 
@@ -573,7 +596,8 @@ def parse_schema(text: str, source: str = "<schema>") -> tuple[TriplestoreSchema
         if p.at_keyword("NOLIT"):
             p.next()
             p.expect("LBRACE", "'{'")
-            while p.peek().typ == "VAR":
+            # Variables that read as a statement (``?s ?x ?y .``) are one run.
+            while p.peek().typ == "VAR" or p.peek().typ == "RUN" and p.split_run().typ == "VAR":
                 no_literal.add(p.next().value)
             p.expect("RBRACE", "'}'")
             continue

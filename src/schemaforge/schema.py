@@ -25,7 +25,8 @@ lookup of the patterns a triple can instantiate asks the schema's
 :class:`PatternIndex`. For each mask that occurs it maps the projection of
 a signature onto the mask to the patterns under it, in two tables: one of
 every pattern, one of the patterns that admit a literal object (a constant
-object, or an object variable outside the no-literal set). A query triple
+object, or an object variable outside the no-literal set), built from the
+first on the first lookup for a literal object. A query triple
 (ground, sandboxed, or itself a pattern) is projected onto each mask and
 looked up, at most 8 dict probes: a query variable at a pattern's constant
 position projects to a key no pattern has, so it is matched only by a
@@ -65,26 +66,21 @@ from .terms import (
 class PatternIndex:
     """Triple patterns by projected constant signature (see the module notes)."""
 
-    __slots__ = ("_tables",)
+    __slots__ = ("_every", "_literal", "_no_literal")
 
     def __init__(self, patterns: Iterable[Triple], no_literal: Collection[str]) -> None:
         every: dict[int, dict] = {}
-        literal: dict[int, dict] = {}
         for t in patterns:
             s, p, o = t  # kinds read as tuple items, not properties: this runs per pattern
             mask = (s[0] != VARIABLE) | (p[0] != VARIABLE) << 1 | (o[0] != VARIABLE) << 2
-            key = _PROJECTIONS[mask](t)
-            every.setdefault(mask, {}).setdefault(key, []).append(t)
-            if o[0] != VARIABLE or o[1] not in no_literal:
-                literal.setdefault(mask, {}).setdefault(key, []).append(t)
-        self._tables = tuple(
-            tuple((_PROJECTIONS[mask], buckets) for mask, buckets in sorted(table.items()))
-            for table in (every, literal)
-        )
+            every.setdefault(mask, {}).setdefault(_PROJECTIONS[mask](t), []).append(t)
+        self._every = tuple((_PROJECTIONS[mask], buckets) for mask, buckets in sorted(every.items()))
+        self._no_literal = no_literal
+        self._literal: tuple | None = None  # built on the first literal-object lookup
 
     def candidates(self, query: Triple) -> Iterator[Triple]:
         """Every indexed pattern whose constants agree with ``query`` positionwise."""
-        for project, buckets in self._tables[0]:
+        for project, buckets in self._every:
             yield from buckets.get(project(query), ())
 
     def _table(self, t: Triple) -> tuple:
@@ -92,7 +88,27 @@ class PatternIndex:
         s, p, o = t
         if s[0] == LITERAL or p[0] == LITERAL:
             return ()
-        return self._tables[o[0] == LITERAL]
+        if o[0] != LITERAL:
+            return self._every
+        if self._literal is None:
+            self._literal = self._admitting_literals()
+        return self._literal
+
+    def _admitting_literals(self) -> tuple:
+        """The table of every pattern, cut to those that admit a literal object."""
+        no_literal = self._no_literal
+        table = []
+        for project, buckets in self._every:
+            kept = {}
+            for key, patterns in buckets.items():
+                admitting = [
+                    t for t in patterns if t[2][0] != VARIABLE or t[2][1] not in no_literal
+                ]
+                if admitting:
+                    kept[key] = admitting
+            if kept:
+                table.append((project, kept))
+        return tuple(table)
 
     def covering(self, t: Triple) -> list[Triple]:
         """The indexed patterns ``t`` instantiates under the no-literal rule."""
@@ -134,7 +150,13 @@ class ExistentialRule:
         return tuple(key(t) for t in self.antecedent) + tuple(key(t) for t in self.consequent)
 
     def sort_key(self) -> tuple:
-        return self._canonical
+        """A total order: the canonical form, then the rule's own terms, so
+        that rules equal up to renaming still sort the same in every run."""
+        return self._sort_key
+
+    @cached_property
+    def _sort_key(self) -> tuple:
+        return (*self._canonical, self.antecedent, self.consequent)
 
     @cached_property
     def _antecedent_probe(self) -> tuple[tuple, tuple, list[tuple[str, int]]]:
@@ -162,25 +184,27 @@ class TriplestoreSchema:
     existentials: frozenset[ExistentialRule] = frozenset()
 
     def __post_init__(self) -> None:
+        # Terms are read as (kind, lexical) pairs, not through properties:
+        # every fixpoint round checks its schemas pattern by pattern.
         seen: set[str] = set()
         for t in self.graph:
             if not is_valid_pattern(t):
                 raise SchemaError(f"ill-formed schema pattern: {t!r}")
-            for term in t:
-                if term.is_variable:
-                    if term.lexical in seen:
+            for kind, name in t:
+                if kind == VARIABLE:
+                    if name in seen:
                         raise SchemaError(
-                            f"variable ?{term.lexical} occurs more than once in the schema graph"
+                            f"variable ?{name} occurs more than once in the schema graph"
                         )
-                    seen.add(term.lexical)
+                    seen.add(name)
         if not self.no_literal <= seen:
             extra = sorted(self.no_literal - seen)
             raise SchemaError(f"no-literal set names unknown variables: {extra}")
-        for t in self.graph:
-            for term in (t.s, t.p):
-                if term.is_variable and term.lexical not in self.no_literal:
+        for s, p, _ in self.graph:
+            for kind, name in (s, p):
+                if kind == VARIABLE and name not in self.no_literal:
                     raise SchemaError(
-                        f"subject/predicate variable ?{term.lexical} missing from the no-literal set"
+                        f"subject/predicate variable ?{name} missing from the no-literal set"
                     )
 
     @staticmethod
@@ -394,13 +418,9 @@ def schema_equivalent(s1: TriplestoreSchema, s2: TriplestoreSchema) -> bool:
 
 def pattern_shape_key(t: Triple, delta: set[str] | frozenset[str]) -> tuple:
     """Identity of a pattern up to variable renaming (no-literal aware)."""
-    key = []
-    for term in t:
-        if term.is_variable:
-            key.append(("v", term.lexical in delta))
-        else:
-            key.append(("c", term.kind, term.lexical))
-    return tuple(key)
+    return tuple(
+        [("v", name in delta) if kind == VARIABLE else ("c", kind, name) for kind, name in t]
+    )
 
 
 def pattern_subsumed(p: Triple, q: Triple, delta: set[str] | frozenset[str]) -> bool:
@@ -432,30 +452,28 @@ def normalize_schema(schema: TriplestoreSchema) -> TriplestoreSchema:
     """
     delta = schema.no_literal
     by_key: dict[tuple, Triple] = {}
-    for t in sorted(schema.graph, key=Triple.sort_key):
+    for t in sorted(schema.graph):  # a triple's tuple order is its sort_key order
         by_key.setdefault(pattern_shape_key(t, delta), t)
     # Index the deduplicated patterns only: indexing the input graph would
     # let a pattern be found subsumed by one of its own renamed duplicates.
-    unique = list(by_key.values())
-    index = PatternIndex(unique, delta)
-    kept = [
-        p
-        for p in unique
+    index = PatternIndex(by_key.values(), delta)
+    kept = sorted(
+        key
+        for key, p in by_key.items()
         if not any(q is not p and pattern_subsumed(p, q, delta) for q in index.candidates(p))
-    ]
-    kept.sort(key=lambda t: pattern_shape_key(t, delta))
+    )
 
     counter = 0
     new_patterns: list[Triple] = []
     new_delta: set[str] = set()
-    for t in kept:
+    for key in kept:
         terms = []
-        for term in t:
-            if term.is_variable:
+        for term in by_key[key]:
+            if term[0] == VARIABLE:
                 counter += 1
                 name = f"v{counter}"
                 terms.append(var(name))
-                if term.lexical in delta:
+                if term[1] in delta:
                     new_delta.add(name)
             else:
                 terms.append(term)

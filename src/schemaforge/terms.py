@@ -136,7 +136,8 @@ def is_valid_triple(t: Triple) -> bool:
 
 def is_valid_pattern(t: Triple) -> bool:
     """Well-formed triple pattern: no literal in subject or predicate position."""
-    return not (t.s.is_literal or t.p.is_literal)
+    s, p, _ = t
+    return s[0] != LITERAL and p[0] != LITERAL  # the terms' kinds
 
 
 def is_valid_rdf_graph(triples: Iterable[Triple]) -> bool:

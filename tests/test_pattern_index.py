@@ -14,6 +14,7 @@ index, is checked against the same scan.
 from __future__ import annotations
 
 import sys
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,7 @@ from schemaforge import (
     var,
 )
 from schemaforge.consequence import lambda_for, reference_origins
+from schemaforge import schema as schema_module
 from schemaforge.generator import GeneratorConfig, generate
 from schemaforge.schema import (
     PatternIndex,
@@ -217,3 +219,44 @@ def test_origin_and_instance_lookups_make_no_per_pair_test():
     finally:
         sys.setprofile(None)
     assert len(calls) == 1
+
+
+# --- work counts -------------------------------------------------------------
+
+
+def test_normalisation_keys_each_input_pattern_once():
+    calls = []
+
+    def counted(t, delta):
+        calls.append(t)
+        return pattern_shape_key(t, delta)
+
+    for seed, merged, _ in generated_consequence_inputs():
+        calls.clear()
+        with mock.patch.object(schema_module, "pattern_shape_key", counted):
+            normalize_schema(merged)
+        assert sorted(calls) == sorted(merged.graph), seed
+
+
+def test_candidates_alone_never_build_the_literal_object_table():
+    built = []
+
+    class Recorded(PatternIndex):
+        __slots__ = ()
+
+        def _admitting_literals(self):
+            built.append(self)
+            return super()._admitting_literals()
+
+    for seed, merged, sandbox in generated_consequence_inputs():
+        with mock.patch.object(schema_module, "PatternIndex", Recorded):
+            normalize_schema(merged)
+            index = Recorded(merged.graph, merged.no_literal)
+            for t in sandbox:
+                list(index.candidates(t))
+        assert not built, seed
+        # The first lookup for a literal object builds it, once.
+        literal = Triple(IRIS[0], IRIS[1], LITS[0])
+        assert index.covering(literal) == index.covering(literal)
+        assert built == [index]
+        built.clear()

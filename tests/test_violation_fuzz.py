@@ -15,10 +15,15 @@ them.
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import schemaforge
 from schemaforge import (
     BudgetExceededError,
     ExistentialRule,
@@ -135,3 +140,40 @@ def test_seed_81_is_answered_with_a_checked_witness():
         assert is_instance(violation.witness, schema)
         assert violations([violation.rule], closure(violation.witness, rules))
         assert violation.rule in enumerated_violations(schema, rules)
+
+
+REPORT_CASE_54 = """
+from schemaforge import retained_existentials
+from schemaforge.formats import serialize_graph, serialize_schema, triple_str
+from test_violation_fuzz import random_case
+
+schema, rules = random_case(54)
+report = retained_existentials(schema, rules)
+print(serialize_schema(schema))
+for e in report.retained:
+    print("retained", triple_str(e.antecedent, {}), "=>", triple_str(e.consequent, {}))
+for v in report.violated:
+    a, c = v.rule.antecedent, v.rule.consequent
+    print("violated", triple_str(a, {}), "=>", triple_str(c, {}), v.via_rule)
+    print(serialize_graph(v.witness))
+"""
+
+
+def test_reports_and_schemas_are_byte_stable_across_hash_seeds():
+    # Case 54 has two violated existential rules equal up to renaming, so
+    # their order rests on the sort key's tie-break, not on the set's order.
+    path = os.pathsep.join(
+        [str(Path(schemaforge.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+    )
+
+    def run(seed: str) -> bytes:
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-c", REPORT_CASE_54], env=env, capture_output=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        return done.stdout
+
+    first = run("1")
+    assert first.count(b"violated") == 2
+    assert run("2") == first
