@@ -26,15 +26,15 @@ builds new ones only until one violates it. A grounding no rule reads is
 never built, and draws no fresh IRIs. A rule is retained only once every
 grounding of every triggering rule was built and checked.
 
-Rewriting touches only the rules that can fire. A consequent predicate is
-always a constant, so per rewriting only the rules with a consequent
-predicate among the rewriting's predicates are renamed apart (every rule
-when one of them is a variable), and a constant antecedent predicate is
-unified only with the renamed consequent triples on that predicate. Fresh
-names are drawn only for what is built: the rules renamed, the grounded
-variables and the chase's witnesses. A rewriting is defined only up to
-renaming and homomorphic equivalence, and a witness only up to renaming
-of its invented IRIs, so that is all the search's results keep.
+The search compiles the inference rules once and reads their positions by
+consequent predicate (``schema._RuleIndex``). Per rewriting, only the rules
+that can produce one of its triples (every rule, when a predicate is a
+variable) are renamed apart, and a constant predicate is unified only with
+their consequent triples on it. Fresh names are drawn only for what is
+built: the rules renamed, the grounded variables and the chase's
+witnesses. A rewriting is defined only up to renaming and homomorphic
+equivalence, and a witness only up to renaming of its invented IRIs, so
+that is all the search's results keep.
 
 Rewriting prunes by homomorphism subsumption, which keeps the rewriting
 set finite on recursive rule sets; the depth bound ``MAX_REWRITE_DEPTH``
@@ -64,6 +64,7 @@ from .rules import InferenceRule, chase_existentials, closure
 from .schema import (
     ExistentialRule,
     TriplestoreSchema,
+    _RuleIndex,
     is_instance,
     violations,
 )
@@ -139,23 +140,19 @@ def _triggers(
     existentials: Sequence[ExistentialRule], rules: Sequence[InferenceRule]
 ) -> list[list[int]]:
     """Per existential rule, the positions of the inference rules with a
-    consequent triple its antecedent unifies with. The rules are renamed
-    apart by a registry of their own, so the search's names are not drawn;
-    consequent triples never repeat a variable, so this is the union query
-    of the antecedent over the consequent's sandbox. Consequent predicates
-    are constants: a constant antecedent predicate meets only the triples
-    on it, a variable one meets every triple."""
+    consequent triple its antecedent unifies with, read off the rules'
+    index by the antecedent's predicate. The rules are renamed apart by a
+    registry of their own, so the search's names are not drawn; consequent
+    triples never repeat a variable, so this is the union query of the
+    antecedent over the consequent's sandbox."""
     apart = FreshNames.of([e.antecedent for e in existentials])
-    every = [(p, t) for p, rule in enumerate(rules) for t in _rename_apart(rule, apart)[1]]
-    by_predicate: dict[Term, list[tuple[int, Triple]]] = {}
-    for pair in every:
-        by_predicate.setdefault(pair[1].p, []).append(pair)
-    out: list[list[int]] = []
-    for e in existentials:
-        a = e.antecedent
-        candidates = every if a.p.is_variable else by_predicate.get(a.p, ())
-        out.append(sorted({p for p, t in candidates if _mgu(a, t) is not None}))
-    return out
+    rules = _RuleIndex.of(rules)
+    consequents = [_rename_apart(rule, apart)[1] for rule in rules]
+
+    def unifies(a: Triple, position: int) -> bool:
+        return any(_mgu(a, t) is not None for t in consequents[position] if a.p.is_variable or t.p == a.p)
+
+    return [[q for q in rules.producing([e.antecedent.p]) if unifies(e.antecedent, q)] for e in existentials]
 
 
 def rewrite_antecedents(
@@ -171,13 +168,13 @@ def rewrite_antecedents(
     homomorphism are redundant and pruned, which is what makes recursive
     rule sets terminate.
 
-    The consequent triples are indexed by predicate per rewriting, and
-    only the rules that have one of its predicates (all, if one is a
-    variable) are renamed and draw fresh names. The result is that of
-    renaming and unifying every rule up to homomorphic equivalence of each
-    rewriting; its order can differ, since triples are visited in the
-    sort order of their variable names.
+    Only the rules that can produce one of a rewriting's triples are
+    renamed and draw fresh names. The result is that of renaming and
+    unifying every rule up to homomorphic equivalence of each rewriting;
+    its order can differ, since triples are visited in the sort order of
+    their variable names.
     """
+    rules = _RuleIndex.of(rules)
     if fresh is None:
         fresh = FreshNames.of(*(r.antecedent | r.consequent for r in (*rules, rule)))
 
@@ -190,25 +187,13 @@ def rewrite_antecedents(
             raise RewriteDepthExceededError(
                 f"antecedent rewriting of rule {rule.name or '?'} exceeded depth {MAX_REWRITE_DEPTH}"
             )
-        # One renaming per rule keeps every candidate of this rewriting
-        # apart. Only a rule with a consequent predicate of the rewriting
-        # (every rule, if one of its predicates is a variable) can unify, so
-        # only those are renamed.
-        predicates = {t.p for t in current.antecedent}
-        every_rule = any(p.is_variable for p in predicates)
-        built: list[tuple[frozenset[Triple], Triple]] = []
-        for other in rules:
-            if every_rule or not other.consequent_predicates.isdisjoint(predicates):
-                antecedent, consequent = _rename_apart(other, fresh)
-                built.extend((antecedent, t_c) for t_c in consequent)
-        # A constant predicate unifies only with its own bucket, which keeps
-        # the candidates in rule order, then sorted consequent order.
-        by_predicate: dict[Term, list[tuple[frozenset[Triple], Triple]]] = {}
-        for pair in built:
-            by_predicate.setdefault(pair[1].p, []).append(pair)
+        # One renaming per rule that can produce a triple of the rewriting
+        # keeps the candidates apart; a constant predicate meets only the
+        # consequent triples on it.
+        renamed = {q: _rename_apart(rules[q], fresh) for q in rules.producing(t.p for t in current.antecedent)}
         for t in sorted(current.antecedent, key=Triple.sort_key):
-            for antecedent, t_c in built if t.p.is_variable else by_predicate.get(t.p, ()):
-                theta = _mgu(t, t_c)
+            for antecedent, t_c in [(renamed[q][0], t_c) for q in rules.producing([t.p]) for t_c in renamed[q][1]]:
+                theta = _mgu(t, t_c) if t.p.is_variable or t_c.p == t.p else None
                 if theta is None:
                     continue
                 new_antecedent = theta.apply(current.antecedent - {t}) | theta.apply(antecedent)
@@ -262,7 +247,7 @@ def _groundings_for_rule(
 ) -> Iterator[_Grounding]:
     """The rule's groundings, built one at a time: rewriting by rewriting,
     then surviving mapping by mapping."""
-    for rewriting in rewrite_antecedents(rule, list(rules), fresh):
+    for rewriting in rewrite_antecedents(rule, rules, fresh):
         for fm in surviving_mappings(rewriting.antecedent, (), schema, SCORE, lam, sandbox, clock):
             kept = Mapping.of({k: v for k, v in fm.mapping if v != lam})
             partially = kept.apply(rewriting.antecedent)
@@ -272,11 +257,11 @@ def _groundings_for_rule(
             candidate = Graph(grounding.apply(partially), validate=False)
             nulls = {term for _, term in grounding}
             chased = chase_existentials(
-                candidate, schema.existentials, fresh, schema=schema, nulls=nulls, clock=clock
+                candidate, schema.sorted_existentials(), fresh, schema=schema, nulls=nulls, clock=clock
             )
             if not is_instance(chased, schema):
                 continue
-            closed = closure(chased, list(rules), clock=clock)
+            closed = closure(chased, rules, clock=clock)
             yield _Grounding(chased, closed)
 
 
@@ -307,6 +292,7 @@ def retained_existentials(
     rule that can use them.
     """
     existentials = schema.sorted_existentials()
+    rules = _RuleIndex.of(rules)
     fresh = FreshNames.of(
         schema.graph,
         [t for e in existentials for t in (e.antecedent, e.consequent)],

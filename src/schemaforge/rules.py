@@ -7,40 +7,40 @@ the instantiated consequent for every antecedent match, keeping only
 instantiations that are valid RDF graphs. The closure applies all rules to
 a fixpoint; it terminates because rules never invent constants.
 
+Each analysis compiles its rule sets once (``schema._RuleIndex``): the
+rules in a fixed order, with their positions by the predicates of their
+antecedent and consequent triples. Closure and the chase read them in
+position order, visiting only the rules that a triple on a new predicate
+can wake; a plain sequence is compiled at entry.
+
 Closure and the chase each grow one graph of their own with
 :meth:`Graph.insert`, which keeps the indexes the graph has built up to
-date; neither rebuilds the whole graph per change. The chase hands its
-graph out frozen, indexes and all, for the instance check that follows;
-closure hands out a new graph of the same triples, without the indexes
-its rounds built.
+date. The chase hands its graph out frozen, indexes and all, for the
+instance check that follows; closure hands out a new graph of the same
+triples, without the indexes its rounds built.
 
 Closure is computed with delta-driven (semi-naive) evaluation. Round 1,
-whose delta is the whole graph, joins each rule once; in each later round,
-at least one antecedent triple must match a triple derived in the previous
-round, and only the delta is built as a graph of its own. One firing step
-serves rule application, every round and the naive oracle: it runs the
-join over a rule's goals and instantiates the consequent straight from
-each binding. The plan (the sorted antecedent in the join's
-most-bound-first order, with each pattern's constant probe) and the set of
-antecedent predicates are kept on the rule across calls. A round visits, in
-list order, the rules whose antecedent predicates meet the delta's, and
-every rule with a variable one; round 1 also fires the rules with an empty
-antecedent. The direct-from-definition naive iteration, which visits every
-rule in every round, is kept behind a flag as the testing oracle.
+whose delta is the whole graph, joins each woken rule once and fires the
+rules with an empty antecedent; in each later round, at least one
+antecedent triple must match a triple derived in the previous round, and
+only the delta is built as a graph of its own. One firing step serves rule
+application, every round and the naive oracle, which fires every rule in
+every round: it runs the join over the rule's plan (the sorted antecedent
+in the join's most-bound-first order, with each pattern's constant probe,
+kept on the rule) and instantiates the consequent from each binding.
 
 The chase extends a ground graph until every existential rule is satisfied,
 inventing one fresh IRI per residual consequent variable. Each step acts on
 the first unsatisfied (rule, mapping) pair, in the order
 :func:`schema.unsatisfied` yields them, that it can act on. It finds those
 pairs by one scan, keeps them in that order and takes each once; a new
-witness triple adds the pairs of the rules on its predicate or on a
-variable one, the only rules it can match. Given a schema it also repairs:
-a witness that instantiates no schema pattern may have the IRIs its graph
-invented (the nulls) unified with the constants of a covering pattern,
-across the whole graph, after which the chase scans the graph again.
-Termination is only guaranteed for weakly acyclic rule sets, so a bound on
-the number of changes guards the loop and a diagnostic error names the
-likely cause when it trips.
+witness triple adds the pairs the same scan finds on it alone. Given a
+schema it also repairs: a witness that instantiates no schema pattern may
+have the IRIs its graph invented (the nulls) unified with the constants of
+a covering pattern, across the whole graph, after which the chase scans
+the graph again. Termination is only guaranteed for weakly acyclic rule
+sets, so a bound on the number of changes guards the loop and a diagnostic
+error names the likely cause when it trips.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ from .eval import BudgetClock, Goal, _extend, _most_bound_first
 from .schema import (
     ExistentialRule,
     TriplestoreSchema,
-    _antecedent_match,
     _has_match,
+    _RuleIndex,
     _unsatisfied_at,
     instantiates_some,
 )
@@ -130,17 +130,6 @@ class InferenceRule:
         return sorted(pattern_vars(self.antecedent | self.consequent))
 
     @cached_property
-    def consequent_predicates(self) -> frozenset[Term]:
-        return frozenset(t.p for t in self.consequent)
-
-    @cached_property
-    def _woken_by(self) -> frozenset[Term] | None:
-        """The predicates of the triples that can fit an antecedent triple;
-        None when one is a variable, which any triple can fit."""
-        predicates = frozenset(t.p for t in self.antecedent)
-        return None if any(p.is_variable for p in predicates) else predicates
-
-    @cached_property
     def _plan(self) -> _Plan:
         """The antecedent in join order, each pattern with the constant
         probe that tells whether any delta triple can fit it."""
@@ -177,34 +166,31 @@ def closure(
     """Least fixpoint of applying all rules.
 
     One graph, built once, grows by each round's new triples; only the
-    round's delta is built afresh. Round 1, whose delta is the whole
-    graph, fires each rule it visits once over it; later rounds fire once
-    per antecedent triple forced into the delta that a delta triple fits.
-    A round visits only the rules whose antecedent predicates meet the
-    delta's or hold a variable, since no other rule has an antecedent
-    triple a delta triple can fit; round 1 also visits those with an empty
-    antecedent. ``naive=True`` switches to the direct definition (fire
-    every rule against the whole graph each round); it is the oracle the
-    semi-naive rounds are tested against.
+    round's delta is built afresh. A round visits, in order, only the rules
+    the index files under the delta's predicates, a variable one or an
+    empty antecedent, since no other rule has an antecedent triple a delta
+    triple can fit. Round 1, whose delta is the whole graph, fires each
+    once over it; later rounds fire once per antecedent triple forced into
+    the delta that a delta triple fits. ``naive=True`` switches to the
+    direct definition (fire every rule against the whole graph each
+    round); it is the oracle the semi-naive rounds are tested against.
     """
+    rules = _RuleIndex.of(rules)
     full = Graph(graph.triples, validate=False)  # a copy this call may grow
     delta = full
     while True:
         if clock is not None:
             clock.check(every=1)
-        predicates = delta.predicates()
         new: set[Triple] = set()
-        for rule in rules:
-            plan, woken_by = rule._plan, rule._woken_by
+        for rule in rules if naive else [rules[i] for i in rules.woken_by(delta.predicates())]:
+            plan = rule._plan
             if naive or delta is full:
-                # Falsy woken_by: a variable predicate or an empty antecedent.
-                if naive or not woken_by or not predicates.isdisjoint(woken_by):
-                    new.update(_fire(rule, [(t, full) for t, _ in plan], clock))
-            elif woken_by is None or not predicates.isdisjoint(woken_by):
-                for i, (_, probe) in enumerate(plan):
-                    if delta.match(*probe):  # some delta triple fits the forced pattern
-                        goals = [(t, delta if j == i else full) for j, (t, _) in enumerate(plan)]
-                        new.update(_fire(rule, goals, clock))
+                new.update(_fire(rule, [(t, full) for t, _ in plan], clock))
+                continue
+            for i, (_, probe) in enumerate(plan):
+                if delta.match(*probe):  # some delta triple fits the forced pattern
+                    goals = [(t, delta if j == i else full) for j, (t, _) in enumerate(plan)]
+                    new.update(_fire(rule, goals, clock))
         added = [t for t in new if full.insert(t)]
         if not added:
             # Handed out without the indexes the rounds built: a caller
@@ -242,7 +228,7 @@ def _repair(
     constants of the first pattern, in sorted order, that the witness can
     then instantiate; None if no pattern can be covered."""
     extended = {*triples, witness}
-    for pattern in sorted(schema.graph, key=Triple.sort_key):
+    for pattern in schema.sorted_patterns():
         subst = _unify_with_pattern(witness, pattern, schema.no_literal, nulls)
         if subst is None:
             continue
@@ -265,15 +251,16 @@ def chase_existentials(
 ) -> Graph:
     """Extend the graph until every existential rule is satisfied.
 
-    The first antecedent match (rules and matches in sorted order) whose
-    instantiated consequent has no match gets the consequent, each residual
-    variable bound to a fresh IRI, and the search goes on from the first
-    match again. Without a schema every valid witness is accepted; with
-    one, a witness covering no pattern is repaired by substituting
-    ``nulls`` (invented IRIs, to which the chase adds its own) with the
-    constants of the first covering pattern in sorted order, across the
-    graph. The caller's instance check gates the result, so an unlucky
-    choice costs completeness, never soundness.
+    The first antecedent match (rules and matches in sorted order; a
+    compiled rule set is the schema's, sorted already) whose instantiated
+    consequent has no match gets the consequent, each residual variable
+    bound to a fresh IRI, and the search goes on from the first match
+    again. Without a schema every valid witness is accepted; with one, a
+    witness covering no pattern is repaired by substituting ``nulls``
+    (invented IRIs, to which the chase adds its own) with the constants of
+    the first covering pattern in sorted order, across the graph. The
+    caller's instance check gates the result, so an unlucky choice costs
+    completeness, never soundness.
 
     The unsatisfied pairs are found by one scan and kept in order; each is
     taken from the front once and dropped, witnessed, acted on or not.
@@ -281,31 +268,25 @@ def chase_existentials(
     which terms are nulls (fresh IRIs are never schema constants once the
     registry has observed the schema), and a growing graph only adds
     literal subjects to a repair, so a pair that cannot be acted on stays
-    so until a repair, which rescans. A new witness triple,
-    inserted into the one graph the chase grows, can only add antecedent
-    matches of the rules on its predicate or on a variable one, so only
-    those rules are probed for new pairs. A repair substitutes nulls
-    across the graph, so after one the graph is rebuilt and scanned in
-    full. One step is one witness added or one repair applied;
-    exceeding the bound (quadratic in the input size by default) raises,
-    flagging a non-weakly-acyclic rule set. The clock is checked once per
-    step.
+    so until a repair, which rebuilds the graph and rescans it. A new
+    witness adds the pairs a scan of it alone finds, consequents witnessed
+    in the whole graph. One step is one witness added or one repair
+    applied; exceeding the bound (quadratic in the input size by default)
+    raises, flagging a non-weakly-acyclic rule set. The clock is checked
+    once per step.
     """
-    rule_list = sorted(rules, key=ExistentialRule.sort_key)
+    if not isinstance(rules, _RuleIndex):
+        rules = _RuleIndex(sorted(rules, key=ExistentialRule.sort_key))
     if nulls is None:
         nulls = set()
     if max_steps is None:
-        max_steps = 10 * (len(graph) + len(rule_list) + 1) ** 2
-    # Predicate -> positions of the rules with an antecedent on it, and None
-    # -> those with a variable one, which can match any triple; built at the
-    # first witness, since many chases add none.
-    woken_by: dict[Term | None, list[int]] | None = None
+        max_steps = 10 * (len(graph) + len(rules) + 1) ** 2
     current = Graph(graph.triples, validate=False)  # a copy this call may grow
-    pending = list(_unsatisfied_at(rule_list, current))
+    pending = list(_unsatisfied_at(rules, current, current))
     steps = 0
     while pending:
         position, m = pending.pop(0)
-        consequent = m.apply_triple(rule_list[position].consequent)
+        consequent = m.apply_triple(rules[position].consequent)
         if _has_match(consequent, current):
             continue  # witnessed since it was found
         grounding = {name: fresh.fresh_iri() for name in sorted(pattern_vars([consequent]))}
@@ -330,17 +311,9 @@ def chase_existentials(
             )
         if repaired is not None:
             current = Graph(repaired, validate=False)
-            pending = list(_unsatisfied_at(rule_list, current))
+            pending = list(_unsatisfied_at(rules, current, current))
             continue
         current.insert(witness)
-        if woken_by is None:
-            woken_by = {}
-            for position, rule in enumerate(rule_list):
-                p = rule.antecedent.p
-                woken_by.setdefault(None if p.is_variable else p, []).append(position)
-        for position in (*woken_by.get(witness.p, ()), *woken_by.get(None, ())):
-            rule = rule_list[position]
-            m = _antecedent_match(rule, witness)
-            if m is not None and not _has_match(m.apply_triple(rule.consequent), current):
-                insort(pending, (position, m))
+        for pair in _unsatisfied_at(rules, Graph([witness], validate=False), current):
+            insort(pending, pair)
     return current.freeze()

@@ -16,8 +16,8 @@ graph lookup on its constants and a check that a repeated variable meets
 one value, not by the join of conjunctions; the antecedent's lookup is
 worked out once per rule. :func:`unsatisfied` yields the failing pairs
 lazily, in rule order and then mapping order, for the violation check and
-for the chase that repairs them; a rule whose antecedent predicate is a
-constant the graph lacks is skipped without a lookup.
+for the chase that repairs them, probing only the rules that the rule
+set's index files under the graph's predicates or a variable one.
 
 A pattern's constant signature is its constants, with None at each
 variable position; its mask is the set of its constant positions. Every
@@ -166,6 +166,47 @@ class ExistentialRule:
         return (*_probe(self.antecedent), sorted(names.items()))
 
 
+class _RuleIndex(tuple):
+    """Rules in a fixed order, compiled once for every reader: per side,
+    antecedent and consequent, the rule positions by the predicates of that
+    side's triples, a single atom being a side of one triple. None files a
+    variable predicate and an empty antecedent, which any triple wakes."""
+
+    @classmethod
+    def of(cls, rules: Iterable) -> "_RuleIndex":
+        """The rules as given if compiled, else compiled in their order."""
+        return rules if isinstance(rules, cls) else cls(rules)
+
+    @cached_property
+    def _by_predicate(self) -> tuple[dict[Term | None, list[int]], dict[Term | None, list[int]]]:
+        sides: tuple[dict, dict] = ({}, {})
+        for position, rule in enumerate(self):
+            if not rule.antecedent:
+                sides[0].setdefault(None, []).append(position)
+            for by_predicate, side in zip(sides, (rule.antecedent, rule.consequent)):
+                for t in (side,) if isinstance(side, Triple) else side:
+                    by_predicate.setdefault(None if t.p.is_variable else t.p, []).append(position)
+        return sides
+
+    def _positions(self, side: int, predicates: Iterable[Term]) -> list[int] | range:
+        """In order, the side's positions under the predicates or None; all, for a variable."""
+        by_predicate = self._by_predicate[side]
+        found = set(by_predicate.get(None, ()))
+        for p in predicates:
+            if p[0] == VARIABLE:  # read as a tuple item: this runs per chase witness
+                return range(len(self))
+            found.update(by_predicate.get(p, ()))
+        return sorted(found)
+
+    def woken_by(self, predicates: Iterable[Term]) -> list[int] | range:
+        """The positions of the rules a triple on one of the predicates wakes."""
+        return self._positions(0, predicates)
+
+    def producing(self, predicates: Iterable[Term]) -> list[int] | range:
+        """The positions of the rules that derive triples on the predicates."""
+        return self._positions(1, predicates)
+
+
 @dataclass(frozen=True)
 class Violation:
     """A witness that an existential rule fails on a graph."""
@@ -215,11 +256,21 @@ class TriplestoreSchema:
     ) -> "TriplestoreSchema":
         return TriplestoreSchema(frozenset(patterns), frozenset(no_literal), frozenset(existentials))
 
-    def sorted_patterns(self) -> list[Triple]:
-        return sorted(self.graph, key=Triple.sort_key)
+    def sorted_patterns(self) -> tuple[Triple, ...]:
+        """The schema patterns in sort order, sorted once per schema."""
+        return self._sorted_patterns
 
-    def sorted_existentials(self) -> list[ExistentialRule]:
-        return sorted(self.existentials, key=ExistentialRule.sort_key)
+    def sorted_existentials(self) -> "_RuleIndex":
+        """The existential rules in sort order, sorted and indexed once per schema."""
+        return self._sorted_existentials
+
+    @cached_property
+    def _sorted_patterns(self) -> tuple[Triple, ...]:
+        return tuple(sorted(self.graph, key=Triple.sort_key))
+
+    @cached_property
+    def _sorted_existentials(self) -> "_RuleIndex":
+        return _RuleIndex(sorted(self.existentials, key=ExistentialRule.sort_key))
 
     def constants(self) -> set[Term]:
         return pattern_consts(self.graph)
@@ -283,46 +334,36 @@ def _has_match(pattern: Triple, graph: Graph) -> bool:
     return bool(_pattern_matches(*_probe(pattern), graph))
 
 
-def _antecedent_match(rule: ExistentialRule, t: Triple) -> Mapping | None:
-    """The mapping that sends the rule's antecedent onto ``t``, or None."""
-    probe, repeats, slots = rule._antecedent_probe
-    if any(c is not None and c != x for c, x in zip(probe, t)) or any(t[i] != t[j] for i, j in repeats):
-        return None
-    return Mapping(tuple((name, t[i]) for name, i in slots))
-
-
 def unsatisfied(
     rules: Iterable[ExistentialRule], graph: Graph
 ) -> Iterator[tuple[ExistentialRule, Mapping]]:
     """Lazily, each rule with each antecedent match that has no consequent
     witness, in rule order and then mapping order.
 
-    A rule whose antecedent predicate is a constant the graph lacks is
-    skipped unprobed; the graph's predicates are the keys of its predicate
-    index. Residual variables of the instantiated consequent are matched as
-    a pattern, so any witness triple satisfies the rule.
+    Only the rules on the graph's predicates (the keys of its predicate
+    index) or on a variable one are probed. Residual variables of the
+    instantiated consequent are matched as a pattern, so any witness
+    triple satisfies the rule.
     """
-    rules = list(rules)
-    for position, m in _unsatisfied_at(rules, graph):
+    rules = _RuleIndex.of(rules)
+    for position, m in _unsatisfied_at(rules, graph, graph):
         yield rules[position], m
 
 
-def _unsatisfied_at(rules: list[ExistentialRule], graph: Graph) -> Iterator[tuple[int, Mapping]]:
-    """:func:`unsatisfied`, each pair by the rule's position in the list."""
-    predicates = None  # built for the first constant antecedent predicate
-    for position, rule in enumerate(rules):
+def _unsatisfied_at(rules: _RuleIndex, graph: Graph, whole: Graph) -> Iterator[tuple[int, Mapping]]:
+    """:func:`unsatisfied` with antecedents matched in ``graph`` and
+    consequents in ``whole``, each pair by the rule's position."""
+    if not rules:
+        return  # nothing to probe, so no predicate index to build
+    for position in rules.woken_by(graph.predicates()):
+        rule = rules[position]
         probe, repeats, slots = rule._antecedent_probe
-        if probe[1] is not None:
-            if predicates is None:
-                predicates = graph.predicates()
-            if probe[1] not in predicates:
-                continue
         found = _pattern_matches(probe, repeats, graph)
         if not found:
             continue
         matches = [Mapping(tuple((name, t[i]) for name, i in slots)) for t in found]
         for m in sorted(matches, key=Mapping.sort_key):
-            if not _has_match(m.apply_triple(rule.consequent), graph):
+            if not _has_match(m.apply_triple(rule.consequent), whole):
                 yield position, m
 
 
@@ -335,7 +376,7 @@ def is_instance(graph: Graph, schema: TriplestoreSchema) -> bool:
     """Instance check: pattern coverage plus existential-rule satisfaction."""
     if any(not instantiates_some(t, schema) for t in graph):
         return False
-    return not violations(schema.existentials, graph)
+    return not violations(schema.sorted_existentials(), graph)
 
 
 # ---------------------------------------------------------------------------

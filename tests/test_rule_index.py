@@ -175,7 +175,7 @@ def test_only_rules_that_can_fire_are_renamed_and_unified(monkeypatch):
                     continue
                 # Renamings per dequeue <= rules whose consequent predicate
                 # occurs in the rewriting.
-                can_fire = [r for r in rules if r.consequent_predicates & predicates]
+                can_fire = [r for r in rules if {t.p for t in r.consequent} & predicates]
                 assert len(renamed) <= len(can_fire)
                 assert all(r in can_fire for r in renamed)
                 skipped += len(rules) - len(renamed)
@@ -268,6 +268,26 @@ def test_closure_matches_only_the_rules_woken_by_the_delta(monkeypatch):
     assert joined == ["lift", "any"]
     assert matched == ["any", "any"]
     assert closed == expected
+
+
+def test_a_closure_round_reads_the_plans_only_of_the_rules_it_wakes(monkeypatch):
+    rules = [
+        InferenceRule.of([Triple(var("x"), P, var("y"))], [Triple(var("x"), Q, var("y"))], "lift"),
+        InferenceRule.of([Triple(var("x"), ABSENT, var("y"))], [Triple(var("x"), R, var("y"))], "never"),
+        InferenceRule.of([Triple(var("x"), var("p"), var("y"))], [Triple(var("y"), R, var("x"))], "any"),
+    ]
+    read: list[str] = []
+    plan = InferenceRule.__dict__["_plan"].func
+
+    def counting(rule):
+        read.append(rule.name)
+        return plan(rule)
+
+    monkeypatch.setattr(InferenceRule, "_plan", property(counting))
+    closure(Graph([Triple(A, P, B), Triple(B, P, C)]), rules)
+    # Round 1 (on P) wakes lift and any; rounds 2 (Q and R) and 3 (R) wake
+    # only any. Reading every rule's plan in each round would make 9 reads.
+    assert read == ["lift", "any", "any", "any"]
 
 
 # Fired alongside the drawn rules: an empty antecedent, whose consequent is
