@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .bench import run_benchmark, write_csv
-from .consequence import simple_schema_consequence
+from .consequence import simple_schema_consequence, simple_schema_consequence_report
 from .errors import BudgetExceededError, ParseError, SchemaforgeError, UnsupportedShaclError
 from .eval import BudgetClock
 from .existential import existential_schema_consequence
@@ -65,29 +65,10 @@ def _write_output(text: str, path: str | None) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _load_schema(path: str):
-    return parse_schema(_read(path), path)
-
-
-def _load_rules(path: str):
-    return parse_rules(_read(path), path)
-
-
-def _load_graph(path: str):
-    return parse_graph(_read(path), path)
-
-
-def _merge(*prefix_maps: dict[str, str]) -> dict[str, str]:
-    merged: dict[str, str] = {}
-    for m in prefix_maps:
-        merged.update(m)
-    return merged
-
-
 def _cmd_consequence(args: argparse.Namespace) -> int:
-    schema, schema_prefixes = _load_schema(args.schema)
-    rules, rule_prefixes = _load_rules(args.rules)
-    prefixes = _merge(schema_prefixes, rule_prefixes)
+    schema, schema_prefixes = parse_schema(_read(args.schema), args.schema)
+    rules, rule_prefixes = parse_rules(_read(args.rules), args.rules)
+    prefixes = {**schema_prefixes, **rule_prefixes}
     clock = BudgetClock(args.budget)
     if args.existential:
         out, report = existential_schema_consequence(schema, rules, mode=args.algo, clock=clock)
@@ -109,25 +90,23 @@ def _cmd_consequence(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    schema, _ = _load_schema(args.schema)
-    graph, _ = _load_graph(args.graph)
+    schema, _ = parse_schema(_read(args.schema), args.schema)
+    graph, _ = parse_graph(_read(args.graph), args.graph)
     print("valid" if is_instance(graph, schema) else "invalid")
     return EXIT_OK
 
 
 def _cmd_closure(args: argparse.Namespace) -> int:
-    graph, graph_prefixes = _load_graph(args.graph)
-    rules, rule_prefixes = _load_rules(args.rules)
+    graph, graph_prefixes = parse_graph(_read(args.graph), args.graph)
+    rules, rule_prefixes = parse_rules(_read(args.rules), args.rules)
     closed = closure(graph, rules, clock=BudgetClock(args.budget))
-    _write_output(serialize_graph(closed, _merge(graph_prefixes, rule_prefixes)), args.output)
+    _write_output(serialize_graph(closed, {**graph_prefixes, **rule_prefixes}), args.output)
     return EXIT_OK
 
 
 def _cmd_applicable(args: argparse.Namespace) -> int:
-    schema, _ = _load_schema(args.schema)
-    rules, _ = _load_rules(args.rules)
-    from .consequence import simple_schema_consequence_report
-
+    schema, _ = parse_schema(_read(args.schema), args.schema)
+    rules, _ = parse_rules(_read(args.rules), args.rules)
     report = simple_schema_consequence_report(schema, rules, clock=BudgetClock(args.budget))
     for i in report.fired:
         print(rules[i].name)
@@ -142,11 +121,10 @@ def _cmd_shacl2schema(args: argparse.Namespace) -> int:
 
 
 def _cmd_schema2shacl(args: argparse.Namespace) -> int:
-    schema, prefixes = _load_schema(args.input)
+    schema, prefixes = parse_schema(_read(args.input), args.input)
     doc = schema_to_shacl(schema)
-    merged = dict(doc.prefix_map())
-    merged.update(prefixes)
-    _write_output(ShapeDocument.of(doc.graph, merged).to_text(), args.output)
+    prefixes = {**doc.prefix_map(), **prefixes}
+    _write_output(ShapeDocument.of(doc.graph, prefixes).to_text(), args.output)
     return EXIT_OK
 
 

@@ -17,22 +17,23 @@ prefix map.
 * shape documents: a Turtle subset with blank nodes (``[ ... ]``) and RDF
   lists (``( ... )``), both lowered to IRIs in reserved namespaces.
 
-Where a statement can begin (at the start, or after '.', '{', a comment or
-another statement), the tokenizer first tries one regular expression for a
+The tokenizer reads one token at a time with one regular expression, one
+alternative per token kind. Where a statement can begin (at the start, or
+after '.', '{', a comment or another statement) it first tries a second
+expression, built from the same name and variable expressions, for a
 one-line statement ``term term term .`` of IRIs, names, variables and, in
 object position, literals. On a match it goes on matching statements for
 as long as only whitespace separates them, and emits the whole run as one
-token that keeps each statement's match groups and line; every other input
-is read character by character. Where statements are expected (at the top
-of a graph or shape document, and in a triple block) a run turns into its
-triples in one loop, and a variable in a graph or shape document fails on
-its statement's line. A parser that meets a run anywhere else, or looks
-for a variable where one begins (a no-literal set such as ``?s ?x ?y .``),
-splits it into the tokens the character path makes of it, so results,
-error messages and error lines are the same either way. Data graphs are
-almost all such statements, one long run between prefix declarations and
-comments, and so are the pattern blocks of machine-written rules and
-schemas.
+token that keeps each statement's match groups and line. Where statements
+are expected (at the top of a graph or shape document, and in a triple
+block) a run turns into its triples in one loop, and a variable in a graph
+or shape document fails on its statement's line. A parser that meets a run
+anywhere else, or looks for a variable where one begins (a no-literal set
+such as ``?s ?x ?y .``), splits it into the tokens it stands for, so
+results, error messages and error lines are the same either way. Data
+graphs are almost all such statements, one long run between prefix
+declarations and comments, and so are the pattern blocks of
+machine-written rules and schemas.
 
 One parse builds one :class:`Term` per distinct IRI, literal and variable,
 shared by every triple it occurs in. Equality stays by value, so terms
@@ -42,6 +43,7 @@ The serialisers compact each distinct term once per call.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Callable
@@ -66,37 +68,44 @@ from .terms import (
 # --- tokenizer ---------------------------------------------------------------
 
 _PUNCT = {
-    ".": "DOT",
-    ";": "SEMI",
-    ",": "COMMA",
-    "{": "LBRACE",
-    "}": "RBRACE",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    "[": "LBRACKET",
-    "]": "RBRACKET",
+    "=>": "ARROW", ".": "DOT", ";": "SEMI", ",": "COMMA", "{": "LBRACE", "}": "RBRACE",
+    "(": "LPAREN", ")": "RPAREN", "[": "LBRACKET", "]": "RBRACKET",
 }
-
+# What text that starts no token is, by its first character.
+_UNMATCHED = {"<": "unterminated IRI", '"': "unterminated literal", "?": "empty variable name"}
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
-# A one-line statement ``term term term .``. Each position holds an IRI, a
-# name or a variable, and the object may also be a literal. A name is what
-# the character path reads as a prefixed name or bare word: a run of word
-# characters and ``_-:.`` that neither begins nor ends with '.'; a variable
-# is '?' and a run of word characters. The lookaheads stop a shorter name or
-# variable from matching inside a longer one. Empty IRIs and literals, and
-# '?' with no name, are left to the character path, which reports them.
-_IRI = r"<([^>\n]+)>"
+# A name (prefixed name, bare word or integer) is a run of word characters
+# and ``_-:.`` that neither begins nor ends with '.'; a variable is '?' and
+# a run of word characters. ``\w`` is ``str.isalnum`` or '_', and ``\s`` is
+# ``str.isspace``. The lookaheads stop a shorter name or variable from
+# matching inside a longer one.
 _NAME = r"([\w:-](?:[\w:.-]*[\w:-])?)(?!\.*[\w:-])"
 _VAR = r"\?(\w+)(?!\w)"
+_GAP = r"[^\S\n]*"  # spaces and tabs, no line end
+# One token at the cursor, one alternative per kind, with the gap after it,
+# so that a line of short tokens (a no-literal set) costs one match a token.
+# A literal may span lines and escape any character; an '@' name is cut to
+# its letters where it is read. Text that no alternative matches is a
+# lexical error.
+_TOKEN = re.compile(
+    r"(?:(?P<space>\s+)|#(?P<comment>[^\n]*)|(?P<punct>=>|[.;,{}()[\]])|<(?P<iri>[^>]*)>"
+    r'|"(?P<literal>[^"\\]*(?:\\.[^"\\]*)*)"'
+    rf"|(?P<var>{_VAR})|@(?P<at>\w*)|(?P<name>{_NAME})){_GAP}",
+    re.DOTALL,
+)
+# A one-line statement ``term term term .``. Each position holds an IRI, a
+# name or a variable, and the object may also be a literal. Empty IRIs and
+# literals are left to :data:`_TOKEN`, which reads them for the parser to
+# report.
+_IRI = r"<([^>\n]+)>"
 _LITERAL = r'"((?:[^"\\\n]|\\.)+)"'
-_GAP = r"[^\S\n]*"
 _TERM = rf"(?:{_IRI}|{_NAME}|{_VAR})"
 _STATEMENT = re.compile(
     rf"{_TERM}{_GAP}{_TERM}{_GAP}(?:{_IRI}|{_NAME}|{_LITERAL}|{_VAR}){_GAP}\."
 )
-# What may separate the statements of a run; ``\s`` is ``str.isspace``.
+# What may separate the statements of a run.
 _SPACE = re.compile(r"\s*")
 
 
@@ -115,13 +124,13 @@ class StatementRun(Token):
     :data:`_STATEMENT` match groups (IRI, name or variable for subject and
     predicate, IRI, name, literal or variable for the object, unused ones
     None) and line. ``value`` and ``line`` are the first subject token's,
-    so a message about the run names what the character path would have
-    found there."""
+    so a message about the run names what :data:`_TOKEN` would have found
+    there."""
 
     statements: tuple[tuple[tuple[str | None, ...], int], ...]
 
     def parts(self) -> list[Token]:
-        """The tokens the character path makes of the statements."""
+        """The tokens :data:`_TOKEN` reads from the statements."""
         tokens = []
         for groups, line in self.statements:
             s_iri, s_name, s_var, p_iri, p_name, p_var, o_iri, o_name, o_lit, o_var = groups
@@ -156,17 +165,9 @@ def tokenize(text: str, source: str = "<string>") -> list[Token]:
     tokens: list[Token] = []
     i, n, line = 0, len(text), 1
     statement_may_begin = True  # at the start, after '.', '{', a comment or a statement
-    match_statement, match_space = _STATEMENT.match, _SPACE.match
+    match_token, match_statement, match_space = _TOKEN.match, _STATEMENT.match, _SPACE.match
     while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            i += 1
-            continue
-        if c.isspace():
-            i += 1
-            continue
-        if statement_may_begin and (c == "<" or c == "?" or c.isalnum() or c in "_-:"):
+        if statement_may_begin:
             m = match_statement(text, i)
             if m is not None:
                 run = []
@@ -180,85 +181,47 @@ def tokenize(text: str, source: str = "<string>") -> list[Token]:
                 subject = groups[0] or groups[1] or groups[2]
                 tokens.append(StatementRun("RUN", subject, first, tuple(run)))
                 continue
-        statement_may_begin = c in ".{#"
-        if c == "#":
-            j = i
-            while i < n and text[i] != "\n":
-                i += 1
-            tokens.append(Token("COMMENT", text[j + 1 : i].strip(), line))
+        m = match_token(text, i)
+        if m is None:
+            raise _lexical_error(text, i, line, source)
+        kind = m.lastgroup
+        value = m[kind]
+        if kind == "space":
+            line += value.count("\n")
+            i = m.end()
             continue
-        if c == "=" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(Token("ARROW", "=>", line))
-            i += 2
-            continue
-        if c in _PUNCT:
-            tokens.append(Token(_PUNCT[c], c, line))
-            i += 1
-            continue
-        if c == "<":
-            j = text.find(">", i + 1)
-            if j < 0:
-                raise ParseError("unterminated IRI", source, line)
-            tokens.append(Token("IRIREF", text[i + 1 : j], line))
-            line += text.count("\n", i + 1, j)
-            i = j + 1
-            continue
-        if c == '"':
-            out = []
-            i += 1
-            while i < n and text[i] != '"':
-                ch = text[i]
-                if ch == "\\":
-                    i += 1
-                    if i >= n:
-                        break
-                    esc = text[i]
-                    if esc == "\n":
-                        line += 1
-                    out.append(_ESCAPES.get(esc, esc))
-                else:
-                    if ch == "\n":
-                        line += 1
-                    out.append(ch)
-                i += 1
-            if i >= n:
-                raise ParseError("unterminated literal", source, line)
-            i += 1
-            tokens.append(Token("STRING", "".join(out), line))
-            continue
-        if c == "?":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            if j == i + 1:
-                raise ParseError("empty variable name", source, line)
-            tokens.append(Token("VAR", text[i + 1 : j], line))
-            i = j
-            continue
-        if c == "@":
-            j = i + 1
-            while j < n and text[j].isalpha():
-                j += 1
-            tokens.append(Token("AT", text[i + 1 : j], line))
-            i = j
-            continue
-        # prefixed name, bare word or integer
-        j = i
-        while j < n and (text[j].isalnum() or text[j] in "_-:."):
-            j += 1
-        # a trailing dot is a statement terminator, not part of the name
-        while j > i and text[j - 1] == ".":
-            j -= 1
-        if j == i:
-            raise ParseError(f"unexpected character {c!r}", source, line)
-        word = text[i:j]
-        if ":" in word:
-            tokens.append(Token("PNAME", word, line))
-        else:
-            tokens.append(Token("WORD", word, line))
-        i = j
+        statement_may_begin = text[i] in ".{#"
+        i = m.end()
+        if kind == "name":
+            tokens.append(Token("PNAME" if ":" in value else "WORD", value, line))
+        elif kind == "punct":
+            tokens.append(Token(_PUNCT[value], value, line))
+        elif kind == "var":
+            tokens.append(Token("VAR", value[1:], line))
+        elif kind == "iri":
+            tokens.append(Token("IRIREF", value, line))
+            line += value.count("\n")
+        elif kind == "literal":
+            line += value.count("\n")
+            tokens.append(Token("STRING", _unescape(value), line))
+        elif kind == "comment":
+            tokens.append(Token("COMMENT", value.strip(), line))
+        else:  # '@' and its name, the letters after it (``\w`` also takes digits and '_')
+            if not value.isalpha():
+                value = "".join(itertools.takewhile(str.isalpha, value))
+                i = m.start() + 1 + len(value)
+            tokens.append(Token("AT", value, line))
     tokens.append(Token("EOF", "", line))
     return tokens
+
+
+def _lexical_error(text: str, i: int, line: int, source: str) -> ParseError:
+    """The error for text at ``i``, on ``line``, that starts no token; an
+    unterminated literal runs to the end of the text."""
+    c = text[i]
+    if c == '"':
+        line += text.count("\n", i)
+    return ParseError(_UNMATCHED.get(c, f"unexpected character {c!r}"), source, line)
 
 
 # --- statement parser --------------------------------------------------------

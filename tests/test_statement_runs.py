@@ -4,12 +4,12 @@ The tokenizer folds one-line statements, ground or with variables,
 separated only by whitespace into one run token. Where statements are
 expected (the top level of graph and shape documents, the triple blocks of
 rules and schemas) a run turns into triples in one loop; anywhere else it
-is split into the tokens the character path makes of it. On texts whose runs are
-broken by comments, prefix declarations, ``;``/``,`` continuations,
-multi-line IRIs and literals, with LF or CRLF line ends and with a bad
-statement (an unknown prefix, a bare-word literal subject, a variable in a
-graph) at the first, a middle or the last statement of a run, every parser
-must return what the oracle returns, or fail with its error text and line.
+is split into the tokens it stands for. On texts whose runs are broken by
+comments, prefix declarations, ``;``/``,`` continuations, multi-line IRIs
+and literals, with LF or CRLF line ends and with a bad statement (an
+unknown prefix, a bare-word literal subject, a variable in a graph) at the
+first, a middle or the last statement of a run, every parser must return
+what the oracle returns, or fail with its error text and line.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """Statement tokens, per-parse term sharing and the cached term writer.
 
-The tokenizer reads one-line ground statements as one run token, and the
-parser builds one ``Term`` per distinct name of a parse. Neither may change
-what a parse returns or how it fails: every parser is compared here with
-the character-by-character oracle in ``parse_oracle``, on statement-shaped
-texts and on the mutants of ``test_parser_fuzz``. The serialisers compact
-each distinct term once per call, and must write what per-term
-``compact_term`` writes.
+The tokenizer reads one-line statements, ground or with variables, as one
+run token and every other token with one expression, and the parser builds
+one ``Term`` per distinct name of a parse. None of this may change what a
+parse returns or how it fails: the tokens, with every run expanded, and
+every parser are compared here with the character-by-character oracle in
+``parse_oracle``, on statement-shaped texts and on the mutants of
+``test_parser_fuzz``. The serialisers compact each distinct term once per
+call, and must write what per-term ``compact_term`` writes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from schemaforge.rules import InferenceRule
 from schemaforge.schema import ExistentialRule, TriplestoreSchema
 from schemaforge.terms import RDF_NS, RDF_TYPE, Graph, Triple, iri, lit, var
 
-from parse_oracle import oracle_parse
+from parse_oracle import oracle_parse, tokenize as oracle_tokenize
 from test_parser_fuzz import CASES, DATA, mutate
 
 EXAMPLES = settings(derandomize=True, database=None, max_examples=400, deadline=None)
@@ -164,6 +165,36 @@ def test_statement_texts_parse_as_well_as_fail(parse):
     for kind in ("ok", "raised"):
         find(texts(), lambda text: outcome(parse, text)[0] == kind,
              settings=settings(EXAMPLES, phases=[Phase.generate]))
+
+
+def token_outcome(tokenize, text: str):
+    """Each token's type, value and line, every run expanded into its
+    parts, or the text of the ``ParseError`` raised."""
+    try:
+        tokens = tokenize(text, "t.txt")
+    except ParseError as exc:
+        return ("raised", str(exc))
+    parts = [part for tok in tokens for part in (tok.parts() if tok.typ == "RUN" else [tok])]
+    return [(tok.typ, tok.value, tok.line) for tok in parts]
+
+
+@given(texts())
+@example("@²")
+@example('"open\nliteral')
+@example("<urn:a\nb> ?\n")
+@example("a =b")
+@EXAMPLES
+def test_tokens_agree_with_the_oracle(text):
+    assert token_outcome(formats.tokenize, text) == token_outcome(oracle_tokenize, text)
+
+
+@pytest.mark.parametrize("fixture", [name for _, name in CASES])
+def test_tokens_agree_with_the_oracle_on_mutants(fixture):
+    text = DATA.joinpath(fixture).read_text()
+    rng = random.Random(0)
+    for _ in range(200):
+        mutant = mutate(text, rng)
+        assert token_outcome(formats.tokenize, mutant) == token_outcome(oracle_tokenize, mutant), mutant
 
 
 # --- one Term per name -----------------------------------------------------------
