@@ -27,11 +27,13 @@ The fixpoint and the violation search both use the step, and the two
 routes produce semantically equivalent output schemas.
 
 The full (simple) schema consequence iterates basic consequences over all
-rules to a fixpoint, normalising after every round; it terminates because
-only finitely many pattern shapes exist over the fixed constant pool. Every
-rule of a round sees the same schema, so the fixpoint builds one sandbox per
-round and fires every rule over it into the round's pattern and no-literal
-sets, through the same per-rule step as :func:`basic_consequence`.
+rules to a fixpoint; it terminates because only finitely many pattern
+shapes exist over the fixed constant pool. Every rule of a round sees the
+same schema, so the fixpoint builds one sandbox per round and fires every
+rule over it into the round's new patterns and no-literal names, through
+the same per-rule step as :func:`basic_consequence`. The schema is
+normalised once; each round's new patterns are merged into it
+(:func:`schema.merge_patterns`), and the round that merges none stops.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Callable, Collection, Iterable, Iterator, Sequence
 from .errors import CriticalInstanceTooLargeError
 from .eval import BudgetClock, evaluate_bgp, evaluate_union_query
 from .rules import InferenceRule
-from .schema import TriplestoreSchema, normalize_schema, triple_instantiates
+from .schema import TriplestoreSchema, merge_patterns, normalize_schema, triple_instantiates
 from .terms import (
     FreshNames,
     Graph,
@@ -355,9 +357,9 @@ def simple_schema_consequence_report(
     mode: str = SCORE,
     clock: BudgetClock | None = None,
 ) -> ConsequenceResult:
-    """Fixpoint of basic consequences over all rules, with normalisation
-    per round, in score mode over one sandbox per round; also reports
-    which rules ever fired."""
+    """Fixpoint of basic consequences over all rules, in score mode over one
+    sandbox per round, each round's new patterns merged into the normalised
+    schema; also reports which rules ever fired."""
     fresh = FreshNames.of(schema.graph, *(r.antecedent | r.consequent for r in rules))
     lam = lambda_for(schema, *rules)
 
@@ -368,15 +370,15 @@ def simple_schema_consequence_report(
         rounds += 1
         if clock is not None:
             clock.check(every=1)
-        patterns = set(current.graph)
-        no_literal = set(current.no_literal)
+        patterns: set[Triple] = set()
+        no_literal: set[str] = set()
         sandbox = build_sandbox(current, lam) if mode == SCORE else None
         for i, rule in enumerate(rules):
             if _fire_rule(current, rule, mode, lam, sandbox, patterns, no_literal, fresh, clock):
                 fired.add(i)
         del sandbox  # with its indexes, so it is not held through normalisation
-        merged = normalize_schema(TriplestoreSchema.of(patterns, no_literal))
-        if merged.graph == current.graph and merged.no_literal == current.no_literal:
+        merged = merge_patterns(current, patterns - current.graph, no_literal)
+        if merged is current:
             break
         current = merged
     positions = tuple(sorted(fired))

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import product
+from itertools import count, product
 from typing import Collection, Iterable, Iterator
 
 from .errors import SchemaError
@@ -276,13 +276,18 @@ class TriplestoreSchema:
         return pattern_consts(self.graph)
 
     def graph_part(self) -> "TriplestoreSchema":
-        """The schema with its existential rules dropped."""
-        return replace(self, existentials=frozenset())
+        """The schema with its existential rules dropped: itself if it has none."""
+        return replace(self, existentials=frozenset()) if self.existentials else self
 
     @cached_property
     def index(self) -> PatternIndex:
         """The schema graph's pattern index, built on first use."""
         return PatternIndex(self.graph, self.no_literal)
+
+    @cached_property
+    def shape_keys(self) -> dict[Triple, tuple]:
+        """Each pattern's shape key; normalisation records those of its output."""
+        return {t: pattern_shape_key(t, self.no_literal) for t in self.graph}
 
 
 def triple_instantiates(t: Triple, pattern: Triple, delta: frozenset[str] | set[str]) -> bool:
@@ -485,43 +490,59 @@ def pattern_subsumed(p: Triple, q: Triple, delta: set[str] | frozenset[str]) -> 
     return True
 
 
+def merge_patterns(
+    base: TriplestoreSchema, added: Iterable[Triple], no_literal: Collection[str]
+) -> TriplestoreSchema:
+    """The normalisation of a normalised graph part ``base`` with ``added``
+    patterns, whose variables are apart from its own and whose no-literal
+    ones are in ``no_literal``: ``base`` itself if every added one is redundant.
+
+    Subsumption (instance-set inclusion) orders shape keys partially and
+    ``base``'s keys are an antichain, so the union's maximal keys are the
+    added ones nothing else subsumes (an equal key does) and the base's that
+    none of those subsumes. Added patterns are keyed and indexed one per key,
+    so none meets its own duplicate; variables are renamed in key order.
+    """
+    delta = base.no_literal | frozenset(no_literal)
+    by_key: dict[tuple, Triple] = {}
+    for t in added:
+        by_key.setdefault(pattern_shape_key(t, delta), t)
+    among = PatternIndex(by_key.values(), delta)
+    survivors = [
+        (key, p) for key, p in by_key.items()
+        if not any(pattern_subsumed(p, q, delta) for q in base.index.candidates(p))
+        and not any(q is not p and pattern_subsumed(p, q, delta) for q in among.candidates(p))
+    ]
+    if not survivors:
+        return base
+    above = PatternIndex([p for _, p in survivors], delta)
+    kept = sorted(survivors + [
+        (key, t) for t, key in base.shape_keys.items()
+        if not any(pattern_subsumed(t, q, delta) for q in above.candidates(t))
+    ])
+    names = count(1)
+    renamed = {
+        Triple(*(var(f"v{next(names)}") if term[0] == VARIABLE else term for term in t)): key
+        for key, t in kept
+    }
+    new_delta = {term[1] for t, key in renamed.items() for term, part in zip(t, key) if part == ("v", True)}
+    merged = TriplestoreSchema.of(renamed, new_delta)
+    vars(merged)["shape_keys"] = renamed  # what shape_keys would compute, for the next merge
+    return merged
+
+
 def normalize_schema(schema: TriplestoreSchema) -> TriplestoreSchema:
-    """Equivalent schema with canonical names and no subsumed patterns.
+    """Equivalent schema with canonical names and no subsumed patterns: its
+    graph part merged into the empty schema by :func:`merge_patterns`.
 
     Idempotent; two schemas are equal after normalisation iff their maximal
     pattern sets coincide up to renaming.
     """
-    delta = schema.no_literal
-    by_key: dict[tuple, Triple] = {}
-    for t in sorted(schema.graph):  # a triple's tuple order is its sort_key order
-        by_key.setdefault(pattern_shape_key(t, delta), t)
-    # Index the deduplicated patterns only: indexing the input graph would
-    # let a pattern be found subsumed by one of its own renamed duplicates.
-    index = PatternIndex(by_key.values(), delta)
-    kept = sorted(
-        key
-        for key, p in by_key.items()
-        if not any(q is not p and pattern_subsumed(p, q, delta) for q in index.candidates(p))
-    )
+    merged = merge_patterns(TriplestoreSchema.of(()), schema.graph, schema.no_literal)
+    if not schema.existentials:
+        return merged
 
-    counter = 0
-    new_patterns: list[Triple] = []
-    new_delta: set[str] = set()
-    for key in kept:
-        terms = []
-        for term in by_key[key]:
-            if term[0] == VARIABLE:
-                counter += 1
-                name = f"v{counter}"
-                terms.append(var(name))
-                if term[1] in delta:
-                    new_delta.add(name)
-            else:
-                terms.append(term)
-        new_patterns.append(Triple(*terms))
-
-    new_existentials = []
-    seen_canon = set()
+    by_shape: dict[tuple, ExistentialRule] = {}
     for e in schema.sorted_existentials():
         names: dict[str, str] = {}
 
@@ -534,8 +555,5 @@ def normalize_schema(schema: TriplestoreSchema) -> TriplestoreSchema:
             Triple(*(rename(x) for x in e.antecedent)),
             Triple(*(rename(x) for x in e.consequent)),
         )
-        if canon.canonical() not in seen_canon:
-            seen_canon.add(canon.canonical())
-            new_existentials.append(canon)
-
-    return TriplestoreSchema.of(new_patterns, new_delta, new_existentials)
+        by_shape.setdefault(canon.canonical(), canon)
+    return TriplestoreSchema(merged.graph, merged.no_literal, frozenset(by_shape.values()))

@@ -8,7 +8,8 @@ positionwise test and ``triple_instantiates`` on every pattern. The scans
 live here and in ``test_coverage.py`` only, as oracles: a guard below
 checks that the lookups themselves make no per-pair test. The critical
 route's ``reference_origins``, which keeps the lookup from before the
-index, is checked against the same scan.
+index, is checked against the same scan. Merging patterns into a
+normalised schema is checked against normalising the union.
 """
 
 from __future__ import annotations
@@ -32,12 +33,15 @@ from schemaforge import (
     triple_instantiates,
     var,
 )
-from schemaforge.consequence import lambda_for, reference_origins
+from schemaforge import consequence
+from schemaforge.consequence import lambda_for, reference_origins, simple_schema_consequence_report
 from schemaforge import schema as schema_module
+from schemaforge.formats import serialize_schema
 from schemaforge.generator import GeneratorConfig, generate
 from schemaforge.schema import (
     PatternIndex,
     instantiates_some,
+    merge_patterns,
     pattern_shape_key,
     pattern_subsumed,
 )
@@ -96,12 +100,12 @@ def normalised_shapes(schema: TriplestoreSchema) -> list[tuple]:
 
 
 @st.composite
-def schemas(draw) -> TriplestoreSchema:
+def schemas(draw, stem: str = "v") -> TriplestoreSchema:
     """Small schemas over a tiny vocabulary, so patterns collide and subsume.
 
     Positions hold an IRI, a variable (predicates included) or, in object
     position, a literal; object variables are drawn both no-literal and
-    literal-allowed.
+    literal-allowed. Variable names start with ``stem``.
     """
     patterns: list[Triple] = []
     no_literal: set[str] = set()
@@ -110,7 +114,7 @@ def schemas(draw) -> TriplestoreSchema:
         for pos in range(3):
             kind = draw(st.sampled_from(["var", "iri", "lit"] if pos == 2 else ["var", "iri"]))
             if kind == "var":
-                name = f"v{i}_{pos}"
+                name = f"{stem}{i}_{pos}"
                 terms.append(var(name))
                 if pos < 2 or draw(st.booleans()):
                     no_literal.add(name)
@@ -157,16 +161,20 @@ def test_candidates_are_the_constant_compatible_patterns(schema, t):
     assert len(got) == len(expected) and set(got) == expected
 
 
+def generated_problem(seed: int):
+    """A small generated schema and rule set, dense enough that rules chain."""
+    return generate(GeneratorConfig(
+        pi_c=0.3, p_count=4, u_count=3, l_count=2, schema_size=24, rule_count=4,
+        existential_count=0, antecedent_len=2, seed=seed,
+    ))
+
+
 def generated_consequence_inputs():
     """Per seed, the un-normalised union of one round of basic consequences,
     which is the input normalisation sees inside the fixpoint, and its
     sandbox, whose triples are the queries the origin lookup answers there."""
     for seed in range(6):
-        config = GeneratorConfig(
-            pi_c=0.3, p_count=4, u_count=3, l_count=2, schema_size=24, rule_count=4,
-            existential_count=0, antecedent_len=2, seed=seed,
-        )
-        schema, rules = generate(config)
+        schema, rules = generated_problem(seed)
         fresh = FreshNames()
         for r in rules:
             fresh.observe(r.antecedent | r.consequent)
@@ -221,6 +229,58 @@ def test_origin_and_instance_lookups_make_no_per_pair_test():
     assert len(calls) == 1
 
 
+# --- merging into a normalised schema ----------------------------------------
+
+
+def assert_merge_is_normalisation(base, added, no_literal):
+    """Merging ``added`` into the normalised ``base`` gives, byte for byte,
+    what normalising the union does, and ``base`` itself exactly when that
+    is ``base`` again; returns the merge."""
+    union = TriplestoreSchema.of(base.graph | set(added), base.no_literal | set(no_literal))
+    expected = normalize_schema(union)
+    merged = merge_patterns(base, added, no_literal)
+    assert merged.graph == expected.graph
+    assert merged.no_literal == expected.no_literal
+    assert serialize_schema(merged) == serialize_schema(expected)
+    assert sorted(merged.shape_keys.values()) == scan_kept_shapes(union)
+    assert (merged is base) == (expected == base)
+    return merged
+
+
+@EXAMPLES
+@given(schemas(), schemas(stem="a"))
+def test_merge_into_a_normalised_base_equals_normalising_the_union(base, added):
+    assert_merge_is_normalisation(normalize_schema(base), added.graph, added.no_literal)
+
+
+def test_merge_over_generated_consequence_rounds():
+    """Round by round as the fixpoint merges, each round's new patterns
+    taken from one basic consequence per rule over the normalised base,
+    until a round adds nothing the base does not subsume."""
+    for seed in range(6):
+        schema, rules = generated_problem(seed)
+        base = normalize_schema(schema)
+        fresh = FreshNames.of(base.graph, *(r.antecedent | r.consequent for r in rules))
+        lam = lambda_for(base, *rules)
+        for _ in range(10):
+            added: set[Triple] = set()
+            no_literal: set[str] = set()
+            for rule in rules:
+                out, _ = basic_consequence(base, rule, lam=lam, fresh=fresh)
+                added |= out.graph - base.graph
+                no_literal |= out.no_literal - base.no_literal
+            merged = assert_merge_is_normalisation(base, added, no_literal)
+            if merged is base:
+                break
+            base = merged
+        else:
+            raise AssertionError(f"seed {seed}: no fixpoint in 10 rounds")
+        # Nothing to add, or the base's own patterns renamed apart, leave it as it is.
+        assert merge_patterns(base, (), ()) is base
+        apart = {Triple(*(var("a" + x[1]) if x.is_variable else x for x in t)) for t in base.graph}
+        assert merge_patterns(base, apart, {"a" + name for name in base.no_literal}) is base
+
+
 # --- work counts -------------------------------------------------------------
 
 
@@ -260,3 +320,75 @@ def test_candidates_alone_never_build_the_literal_object_table():
         assert index.covering(literal) == index.covering(literal)
         assert built == [index]
         built.clear()
+
+
+def test_fixpoint_keys_only_each_rounds_new_patterns():
+    """After the first normalisation, a round keys once each pattern it adds
+    and checks one schema, the merge; the round that changes nothing builds
+    no schema and no index over the whole schema but the one its origin
+    lookups read."""
+    schema, rules = generate(GeneratorConfig(0.1, 150, 100, 100, 100, 4, 0, 2, 1))  # fig2a, 100 patterns
+    events: list[tuple] = []
+    real_key, real_sandbox, real_check = (
+        pattern_shape_key, consequence.build_sandbox, TriplestoreSchema.__post_init__
+    )
+
+    class Recorded(PatternIndex):
+        __slots__ = ()
+
+        def __init__(self, patterns, no_literal):
+            patterns = list(patterns)
+            events.append(("index", self, len(patterns)))
+            super().__init__(patterns, no_literal)
+
+    def keyed(t, delta):
+        events.append(("key", t))
+        return real_key(t, delta)
+
+    def sandbox(current, lam=None):  # one per round: marks where each round starts
+        events.append(("round", current))
+        return real_sandbox(current, lam)
+
+    def checked(self):
+        events.append(("schema", self))
+        real_check(self)
+
+    with mock.patch.object(schema_module, "pattern_shape_key", keyed), \
+            mock.patch.object(schema_module, "PatternIndex", Recorded), \
+            mock.patch.object(consequence, "build_sandbox", sandbox), \
+            mock.patch.object(TriplestoreSchema, "__post_init__", checked):
+        report = simple_schema_consequence_report(schema, rules)
+
+    rounds, segments = [], [[]]
+    for event in events:
+        if event[0] == "round":
+            rounds.append(event[1])
+            segments.append([])
+        else:
+            segments[-1].append(event)
+    assert len(rounds) == report.rounds >= 2
+
+    def of_kind(segment, kind):
+        return [event[1:] for event in segment if event[0] == kind]
+
+    def checked_over_patterns(segment):  # the empty base normalisation starts from checks nothing
+        return [s for s, in of_kind(segment, "schema") if s.graph]
+
+    first, *per_round = segments
+    assert sorted(t for t, in of_kind(first, "key")) == sorted(schema.graph)
+    assert len(checked_over_patterns(first)) == 1
+    lam = lambda_for(schema, *rules)
+    for current, segment in zip(rounds, per_round):
+        added: set[Triple] = set()
+        for rule in rules:
+            fresh = FreshNames.of(current.graph, rule.antecedent | rule.consequent)
+            out, _ = basic_consequence(current, rule, lam=lam, fresh=fresh)
+            added |= out.graph - current.graph
+        keyed_now = [t for t, in of_kind(segment, "key")]
+        assert len(keyed_now) == len(set(keyed_now)) == len(added)
+        assert not set(keyed_now) & current.graph
+    changed, last = per_round[:-1], per_round[-1]
+    assert all(len(checked_over_patterns(segment)) == 1 for segment in changed)
+    assert not of_kind(last, "schema")
+    whole = [index for index, size in of_kind(last, "index") if size >= len(rounds[-1].graph)]
+    assert whole == [rounds[-1].index]
